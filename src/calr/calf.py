@@ -48,27 +48,26 @@ class CalfModel:
     def m(self) -> int:
         return len(self.pieces)
 
-    def piece_index(self, x) -> int:
-        """Index of the lowest piece containing x; 0 for the default region."""
+    def _row(self, x) -> np.ndarray:
+        """One point as a one-row batch, after checking its dimension."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise DimensionMismatchError(
                 f"expected a point of dimension {self.d}, got shape {x.shape}"
             )
-        for i, (_, area) in enumerate(self.pieces):
-            if area.contains(x):
-                return i + 1
-        return 0
+        return x[None, :]
+
+    def piece_index(self, x) -> int:
+        """Index of the lowest piece containing x; 0 for the default region."""
+        return int(self.assign_batch(self._row(x))[0])
 
     def covering_pieces(self, x) -> list:
         """All piece indices (1-based) whose areas contain x."""
-        x = np.asarray(x, dtype=float)
-        return [i + 1 for i, (_, area) in enumerate(self.pieces) if area.contains(x)]
+        X = self._row(x)
+        return [i + 1 for i, (_, area) in enumerate(self.pieces) if area.contains_batch(X)[0]]
 
     def predict(self, x) -> float:
-        idx = self.piece_index(x)
-        f = self.default if idx == 0 else self.pieces[idx - 1][0]
-        return f.predict(np.asarray(x, dtype=float))
+        return float(self.predict_batch(self._row(x))[0])
 
     def assign_batch(self, X) -> np.ndarray:
         """Piece index per row; later pieces never override earlier ones."""

@@ -66,13 +66,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", default=None, help="also write the text report here")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("naive-fit", help="exact one-piece fit by subset enumeration")
+    p = sub.add_parser("naive-fit", help="alias of fit --algo naive")
     p.add_argument("--data", required=True)
     p.add_argument("--cap", type=int, default=NAIVE_CAP_DEFAULT)
     p.add_argument("--target-column", default=None)
     p.add_argument("--out", default="model.json")
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_naive_fit)
+    p.set_defaults(func=cmd_fit, algo="naive")
 
     p = sub.add_parser("predict", help="append a prediction column to feature rows")
     p.add_argument("--model", required=True)
@@ -180,14 +180,6 @@ def cmd_fit(args) -> int:
         else:
             _emit_report(f"status: {status}", args.report)
         return 2
-    save_model(model, args.out)
-    _emit_report(_fit_report(model, data, "ok"), args.report)
-    return 0
-
-
-def cmd_naive_fit(args) -> int:
-    data = load_csv(args.data, target_column=args.target_column)
-    model = naive_calr(data, cap=args.cap)
     save_model(model, args.out)
     _emit_report(_fit_report(model, data, "ok"), args.report)
     return 0

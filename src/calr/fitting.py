@@ -4,10 +4,14 @@ Three solution paths live here:
 
 * naive_calr: exact single-piece solver by subset enumeration (small n);
 * cas_calr: the sampling solver — draw d+1 points, gate on the F-test,
-  separability and coefficient distance, shrink the residual set, then
-  build piece areas and hand overlap strips to post;
+  an empty sample simplex and coefficient distance, shrink the residual
+  set, then build piece areas and hand overlap strips to post;
 * cas2: a two-function variant that settles piece-vs-default by which of
   the two fitting sets is separable.
+
+Both sampling solvers share one _Sampler: its setup and its draw gates.
+For d+1 affinely independent points the barycentric simplex test decides
+separability exactly, so cas_calr's sampling needs no separator call.
 
 All randomness goes through numpy's default PCG64 generator seeded from
 the config, so fits are deterministic per (data, config).
@@ -29,7 +33,7 @@ from .exceptions import (
     SeparabilityError,
 )
 from .geometry import cac, cacs
-from .linreg import LinearModel, _ols, coefficient_distance, lr
+from .linreg import _ols, coefficient_distance, lr
 
 _EPS_MULTIPLIER = 4.0
 _EPS_FLOOR_SCALE = 1e-9
@@ -78,10 +82,6 @@ def default_budget(m: int, d: int) -> int:
     return 200 * (2 * max(m, 1)) ** (d + 1)
 
 
-def _separator(config: FitConfig):
-    return cac if config.separator == "lp" else cacs
-
-
 def _epsilon_floor(y: np.ndarray) -> float:
     peak = float(np.max(np.abs(y))) if len(y) else 0.0
     return _EPS_FLOOR_SCALE * (1.0 + peak)
@@ -127,31 +127,13 @@ def _refit_within(X, y, f, eps, rounds=_CONSENSUS_ROUNDS):
     return f
 
 
-def _candidate_fit(X, y, sample_idx, eps):
-    """Refine one sampled interpolant into (model, support) at tolerance eps.
-
-    A few rounds of refitting on the points within eps snap a sample drawn
-    inside one piece onto that piece; support counts the final fitting
-    points and stays near d+1 for a plane cutting across pieces, because a
-    slab of width 2 eps around a wrong plane holds almost nothing.
-    """
-    f = _ols(X[sample_idx], y[sample_idx])
-    f = _refit_within(X, y, f, eps)
-    support = int((np.abs(y - f.predict_batch(X)) < eps).sum())
-    return f, support
-
-
-def _rank_deficient(X, sample_idx) -> bool:
-    A = np.concatenate([np.ones((len(sample_idx), 1)), X[sample_idx]], axis=1)
-    return np.linalg.matrix_rank(A) < X.shape[1] + 1
-
-
 def _simplex_contains_any(S, Q, tol=1e-9) -> bool:
     """Whether the closed hull of d+1 affinely independent points S holds any row of Q.
 
     Exact barycentric test: lam solves [S^T; 1] lam = [q; 1]; q is inside
-    iff every coordinate is nonnegative.  Used as a fast certified path for
-    the hull-emptiness question on simplices.
+    iff every coordinate is nonnegative.  For such an S the answer settles
+    whether S can be separated from Q by a convex area.  A singular
+    system counts as containing, so a degenerate sample is rejected.
     """
     if len(Q) == 0:
         return False
@@ -160,22 +142,64 @@ def _simplex_contains_any(S, Q, tol=1e-9) -> bool:
     try:
         lam = np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
-        return False  # degenerate simplex; let the caller's separator decide
+        return True
     return bool(np.any(np.min(lam, axis=0) >= -tol))
 
 
-def _sample_separable_from_rest(Xr, sample_local, separate) -> bool:
-    """Gate: the sampled simplex must be separable from the rest of the residual set.
+class _Sampler:
+    """Setup and draw gates shared by the sampling solvers.
 
-    The wide prefilter tolerance also skips samples with another point
-    barely outside their hull; separating those costs the separator dearly
-    and a fresh draw is cheaper.
+    Holds the seeded rng, the draw budget, the separator and the fitting
+    tolerance epsilon; with epsilon="auto" it comes from a
+    nearest-neighbor noise estimate made before any draw.
     """
-    inside = np.zeros(len(Xr), dtype=bool)
-    inside[sample_local] = True
-    if _simplex_contains_any(Xr[sample_local], Xr[~inside], tol=1e-6):
-        return False
-    return separate(Xr, inside) is not None
+
+    def __init__(self, data: Dataset, config: FitConfig):
+        n, d, m = data.n, data.d, config.m
+        if n <= (m + 1) * (d + 1):
+            raise InputError(f"need n > (m+1)(d+1) = {(m + 1) * (d + 1)} points (got {n})")
+        self.m, self.tau = m, config.tau
+        self.rng = np.random.default_rng(config.seed)
+        self.budget = config.max_samples or default_budget(m, d)
+        self.separate = cac if config.separator == "lp" else cacs
+        eps = config.epsilon
+        self.eps = _auto_epsilon(data.X, data.y, self.rng) if eps == "auto" else float(eps)
+        self.draws = 0
+
+    @property
+    def exhausted(self) -> bool:
+        return self.draws >= self.budget
+
+    def draw(self, X, y, isolated=False):
+        """One draw of d+1 rows of (X, y): (model, fit mask) or None if a gate rejects it.
+
+        Gates, in order: the sample has full affine rank; its interpolant
+        passes the F-test (p < tau); with isolated, no other row lies in
+        the sample's simplex (tolerance 1e-6, which also skips rows barely
+        outside it, costly to separate); and the refined candidate fits
+        enough rows.  A few rounds of refitting on the rows within eps
+        snap a sample drawn inside one piece onto that piece; the support
+        stays near d+1 for a plane cutting across pieces, because a slab
+        of width 2 eps around a wrong plane holds almost nothing.
+        """
+        self.draws += 1
+        d = X.shape[1]
+        sample = self.rng.choice(len(X), size=d + 1, replace=False)
+        if np.linalg.matrix_rank(np.column_stack([np.ones(d + 1), X[sample]])) < d + 1:
+            return None
+        f = _ols(X[sample], y[sample])
+        if not f.p_value < self.tau:
+            return None
+        if isolated:
+            rest = np.ones(len(X), dtype=bool)
+            rest[sample] = False
+            if _simplex_contains_any(X[sample], X[rest], tol=1e-6):
+                return None
+        f = _refit_within(X, y, f, self.eps)
+        fits = np.abs(y - f.predict_batch(X)) < self.eps
+        if int(fits.sum()) < max(d + 2, len(X) // (_SUPPORT_SHARE * (self.m + 1))):
+            return None
+        return f, fits
 
 
 def distinct(F, data: Dataset, epsilon: float) -> Dataset:
@@ -244,11 +268,10 @@ def _global_model(data: Dataset) -> CalfModel:
     return CalfModel(default=lr(data), pieces=())
 
 
-def _assemble(data, F, eps, config):
+def _assemble(data, F, eps, separate):
     """Turn accepted models into (default, pieces) with disjoint areas."""
     X, y = data.X, data.y
     n = data.n
-    separate = _separator(config)
     fits = np.column_stack([np.abs(y - f.predict_batch(X)) < eps for f in F])
     counts = fits.sum(axis=1)
     unique = counts == 1
@@ -323,72 +346,55 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
     """Sampling solver: find m piece models plus a default, then carve areas.
 
     Draws d+1-point subsets of the residual set and accepts a candidate
-    that passes the F-test gate (p < tau), is separable as a point set from
-    the rest of the residual set, keeps enough fitting points to look like
-    a real piece, and sits at coefficient distance >= delta from every
-    earlier acceptance; each acceptance shrinks the residual set.  With
-    epsilon="auto" the fitting tolerance comes from a nearest-neighbor
-    noise estimate made before sampling.  If the residual set runs dry
-    early or the accepted models cannot be assembled into disjoint areas,
-    the search restarts from scratch on the same draw budget.  Raises
-    BudgetExhaustedError (carrying the largest partial model list and a
-    global-fit fallback) when the budget runs out.
+    that passes the F-test gate (p < tau), whose sample simplex holds no
+    other residual point (for affinely independent points this is exactly
+    separability from the rest of the residual set), keeps enough fitting
+    points to look like a real piece, and sits at coefficient distance
+    >= delta from every earlier acceptance; each acceptance shrinks the
+    residual set.  With epsilon="auto" the fitting tolerance comes from a
+    nearest-neighbor noise estimate made before sampling.  If the residual
+    set runs dry early or the accepted models cannot be assembled into
+    disjoint areas, the search discards them and starts over on the same
+    draw budget.  Raises BudgetExhaustedError (carrying the largest partial
+    model list and a global-fit fallback) when the budget runs out.
     """
     if config.m == 0:
         model = _global_model(data)
         model.fit_info = {"samples_used": 0, "epsilon": None, "algorithm": "cas"}
         return model
+    sampler = _Sampler(data, config)
     n, d = data.n, data.d
-    if n <= (config.m + 1) * (d + 1):
-        raise InputError(
-            f"need n > (m+1)(d+1) = {(config.m + 1) * (d + 1)} points (got {n})"
-        )
     X, y = data.X, data.y
-    rng = np.random.default_rng(config.seed)
-    budget = config.max_samples or default_budget(config.m, d)
-    separate = _separator(config)
-    eps = _auto_epsilon(X, y, rng) if config.epsilon == "auto" else float(config.epsilon)
     target = config.m + 1
     remaining = np.arange(n)
     accepted = []
     best_partial = []
     attempts = 1
     assembled = None
-    draws = 0
     while assembled is None:
-        while len(accepted) < target and draws < budget and len(remaining) >= d + 1:
-            draws += 1
-            Xr, yr = X[remaining], y[remaining]
-            sample_local = rng.choice(len(remaining), size=d + 1, replace=False)
-            if _rank_deficient(Xr, sample_local):
+        while len(accepted) < target and not sampler.exhausted and len(remaining) > d:
+            drawn = sampler.draw(X[remaining], y[remaining], isolated=True)
+            if drawn is None:
                 continue
-            f_raw = _ols(Xr[sample_local], yr[sample_local])
-            if not f_raw.p_value < config.tau:
-                continue
-            if not _sample_separable_from_rest(Xr, sample_local, separate):
-                continue
-            f, support = _candidate_fit(Xr, yr, sample_local, eps)
-            if support < max(d + 2, len(remaining) // (_SUPPORT_SHARE * (config.m + 1))):
-                continue
+            f, fits = drawn
             if any(coefficient_distance(f, g) < config.delta for g in accepted):
                 continue
             accepted.append(f)
-            r = np.abs(yr - f.predict_batch(Xr))
-            remaining = remaining[r >= eps]
+            remaining = remaining[~fits]
         if len(accepted) > len(best_partial):
             best_partial = list(accepted)
         if len(accepted) == target:
             try:
-                assembled = _assemble(data, accepted, eps, config)
+                assembled = _assemble(data, accepted, sampler.eps, sampler.separate)
             except SeparabilityError:
                 assembled = None
         if assembled is None:
-            if draws >= budget:
+            if sampler.exhausted:
                 raise BudgetExhaustedError(
-                    f"no assembly of {target} models within {draws} draws "
+                    f"no assembly of {target} models within {sampler.draws} draws "
                     f"({attempts} attempts)",
                     partial_models=best_partial,
-                    samples_used=draws,
+                    samples_used=sampler.draws,
                     fallback=_global_model(data),
                 )
             attempts += 1
@@ -397,8 +403,8 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
     default, pieces = assembled
     model = CalfModel(default=default, pieces=tuple(pieces))
     model.fit_info = {
-        "samples_used": draws,
-        "epsilon": eps,
+        "samples_used": sampler.draws,
+        "epsilon": sampler.eps,
         "algorithm": "cas",
         "attempts": attempts,
         "accepted_p_values": [f.p_value for f in accepted],
@@ -409,59 +415,47 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
 def cas2(data: Dataset, config: FitConfig) -> CalfModel:
     """Two-function solver: one sampled fit splits the data, areas decide roles.
 
-    Samples until a fit passes the F-test gate, splits points into the
-    fitting set and its complement (dropping points fitting both), and
-    keeps whichever side admits a convex area: that side becomes the
-    single piece and the other model the default.  Mixed samples are
-    redrawn under the same budget as cas_calr.
+    Samples until a fit passes the F-test and support gates, splits points
+    into the fitting set and its complement (dropping points fitting
+    both), and keeps whichever side admits a convex area: that side
+    becomes the single piece and the other model the default.  Mixed
+    samples are redrawn under the same budget as cas_calr.
     """
     if config.m != 1:
         raise InputError("this solver handles exactly one piece (m=1)")
-    n, d = data.n, data.d
-    if n <= 2 * (d + 1):
-        raise InputError(f"need n > 2(d+1) = {2 * (d + 1)} points (got {n})")
+    sampler = _Sampler(data, config)
+    d = data.d
     X, y = data.X, data.y
-    rng = np.random.default_rng(config.seed)
-    budget = config.max_samples or default_budget(1, d)
-    separate = _separator(config)
-    eps = _auto_epsilon(X, y, rng) if config.epsilon == "auto" else float(config.epsilon)
-    draws = 0
     neither_separable = 0
-    while draws < budget:
-        draws += 1
-        sample_idx = rng.choice(n, size=d + 1, replace=False)
-        if _rank_deficient(X, sample_idx):
+    while not sampler.exhausted:
+        drawn = sampler.draw(X, y)
+        if drawn is None:
             continue
-        f_raw = _ols(X[sample_idx], y[sample_idx])
-        if not f_raw.p_value < config.tau:
-            continue
-        f1, support = _candidate_fit(X, y, sample_idx, eps)
-        fits1 = np.abs(y - f1.predict_batch(X)) < eps
-        if support < max(d + 2, n // (_SUPPORT_SHARE * 2)):
-            continue
-        if int(fits1.sum()) < d + 2 or int((~fits1).sum()) < d + 2:
+        f1, fits1 = drawn
+        # The support gate already holds fits1 to at least d+2 points.
+        if int((~fits1).sum()) < d + 2:
             continue
         f2 = _ols(X[~fits1], y[~fits1])
-        fits2 = np.abs(y - f2.predict_batch(X)) < eps
+        fits2 = np.abs(y - f2.predict_batch(X)) < sampler.eps
         both = fits1 & fits2
         d1 = fits1 & ~both
         d2 = ~fits1
         universe = np.flatnonzero(~both)
-        if not d1.any() or not d2.any():
+        if not d1.any():
             continue
-        area1 = separate(X[universe], d1[universe])
+        area1 = sampler.separate(X[universe], d1[universe])
         if area1 is not None:
             piece, default, branch = (f1, area1), f2, "piece_area"
         else:
-            area2 = separate(X[universe], d2[universe])
+            area2 = sampler.separate(X[universe], d2[universe])
             if area2 is None:
                 neither_separable += 1
                 continue
             piece, default, branch = (f2, area2), f1, "complement_area"
         model = CalfModel(default=default, pieces=(piece,))
         model.fit_info = {
-            "samples_used": draws,
-            "epsilon": eps,
+            "samples_used": sampler.draws,
+            "epsilon": sampler.eps,
             "algorithm": "cas2",
             "branch": branch,
         }
@@ -469,12 +463,12 @@ def cas2(data: Dataset, config: FitConfig) -> CalfModel:
     if neither_separable:
         raise SeparabilityError(
             f"neither point set was separable in {neither_separable} of "
-            f"{draws} attempts; the data does not look one-piece separable"
+            f"{sampler.draws} attempts; the data does not look one-piece separable"
         )
     raise BudgetExhaustedError(
-        f"no acceptable split found in {draws} draws",
+        f"no acceptable split found in {sampler.draws} draws",
         partial_models=[],
-        samples_used=draws,
+        samples_used=sampler.draws,
         fallback=_global_model(data),
     )
 

@@ -114,8 +114,9 @@ class ConvexArea:
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        tol = tol_geo(x)
-        return all(h.value(x) <= tol for h in self.halfspaces)
+        if self.d is not None and x.shape != (self.d,):
+            raise DimensionMismatchError(f"expected dimension {self.d}, got shape {x.shape}")
+        return bool(self.contains_batch(x.reshape(1, -1))[0])
 
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -99,6 +99,12 @@ def test_batch_matches_pointwise_on_random_model():
     X = rng.uniform(-3.0, 3.0, size=(200, 2))
     assert model.assign_batch(X).tolist() == [model.piece_index(x) for x in X]
     assert_allclose(model.predict_batch(X), [model.predict(x) for x in X], atol=1e-12)
+    # Pointwise reference: the lowest piece all of whose half-spaces hold x.
+    reference = [
+        next((i + 1 for i, (_, a) in enumerate(pieces) if all(h.contains(x) for h in a.halfspaces)), 0)
+        for x in X
+    ]
+    assert model.assign_batch(X).tolist() == reference
 
 
 def test_model_construction_errors():

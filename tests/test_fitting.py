@@ -4,6 +4,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from calr.calf import CalfModel, overlapping_training_points, predict
@@ -15,6 +18,7 @@ from calr.exceptions import (
 )
 from calr.fitting import (
     FitConfig,
+    _simplex_contains_any,
     cas2,
     cas_calr,
     default_budget,
@@ -22,6 +26,7 @@ from calr.fitting import (
     naive_calr,
     post,
 )
+from calr.geometry import cac
 from calr.linreg import LinearModel, coefficient_distance, lr, mse
 
 
@@ -256,3 +261,37 @@ def test_solvers_work_with_the_svm_separator():
     model = cas_calr(data, FitConfig(m=1, seed=9, separator="svm"))
     assert model.m == 1
     assert best_matching_distance(truth, model) <= 0.1
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 4, 8, 9])
+def test_svm_separator_fits_two_pieces(seed):
+    # These seeds draw samples whose rest points lie close to the sample's
+    # simplex; no separator call on such a draw may end the fit.
+    sigma = 0.01
+    data, _ = generate_separable(500, 2, 2, sigma, 1.0, seed=seed)
+    model = cas_calr(data, FitConfig(m=2, seed=seed + 1000, separator="svm"))
+    assert len(overlapping_training_points(model, data.X)) == 0
+    assert mse(model, data) <= 4 * sigma**2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_empty_sample_simplex_is_separable_from_the_rest(draw):
+    # cas_calr's separability gate is the barycentric test alone: for d+1
+    # affinely independent points, a simplex holding no other point must
+    # always yield a convex area around exactly the sample.
+    d = draw.draw(st.integers(1, 3), label="d")
+    coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    S = draw.draw(arrays(float, (d + 1, d), elements=coord), label="simplex")
+    assume(np.linalg.cond(np.concatenate([S.T, np.ones((1, d + 1))])) < 1e8)
+    # Rest points as affine combinations of S reach faces and corners as
+    # readily as far-away points.
+    k = draw.draw(st.integers(0, 10), label="rest size")
+    lam = draw.draw(arrays(float, (k, d), elements=st.floats(-2.0, 2.0)), label="weights")
+    Q = np.column_stack([lam, 1.0 - lam.sum(axis=1)]) @ S
+    assume(not _simplex_contains_any(S, Q, tol=1e-6))
+    points = np.vstack([S, Q])
+    inside = np.arange(len(points)) < d + 1
+    area = cac(points, inside)
+    assert area is not None
+    assert area.contains_batch(points).tolist() == inside.tolist()

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .calf import CalfModel
+from .calf import CalfModel, overlapping_training_points
 from .dataset import Dataset
 from .exceptions import (
     BudgetExhaustedError,
@@ -269,7 +269,7 @@ def _global_model(data: Dataset) -> CalfModel:
 
 
 def _assemble(data, F, eps, separate):
-    """Turn accepted models into (default, pieces) with disjoint areas."""
+    """Turn accepted models into a model whose piece areas share no training point."""
     X, y = data.X, data.y
     n = data.n
     fits = np.column_stack([np.abs(y - f.predict_batch(X)) < eps for f in F])
@@ -339,7 +339,12 @@ def _assemble(data, F, eps, separate):
             exclude=X[keep_out],
             separate=separate,
         )
-    return F[default_idx], pieces
+    model = CalfModel(default=F[default_idx], pieces=tuple(pieces))
+    # A point fitting no model is kept out of no area, so two areas can
+    # both reach it.
+    if len(overlapping_training_points(model, X)):
+        raise SeparabilityError("two piece areas hold the same training point")
+    return model
 
 
 def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
@@ -370,8 +375,8 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
     accepted = []
     best_partial = []
     attempts = 1
-    assembled = None
-    while assembled is None:
+    model = None
+    while model is None:
         while len(accepted) < target and not sampler.exhausted and len(remaining) > d:
             drawn = sampler.draw(X[remaining], y[remaining], isolated=True)
             if drawn is None:
@@ -385,10 +390,10 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
             best_partial = list(accepted)
         if len(accepted) == target:
             try:
-                assembled = _assemble(data, accepted, sampler.eps, sampler.separate)
+                model = _assemble(data, accepted, sampler.eps, sampler.separate)
             except SeparabilityError:
-                assembled = None
-        if assembled is None:
+                model = None
+        if model is None:
             if sampler.exhausted:
                 raise BudgetExhaustedError(
                     f"no assembly of {target} models within {sampler.draws} draws "
@@ -400,8 +405,6 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
             attempts += 1
             remaining = np.arange(n)
             accepted = []
-    default, pieces = assembled
-    model = CalfModel(default=default, pieces=tuple(pieces))
     model.fit_info = {
         "samples_used": sampler.draws,
         "epsilon": sampler.eps,

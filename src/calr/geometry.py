@@ -7,10 +7,12 @@ alpha.x + gamma <= tol_geo(x) with tol_geo(x) = 1e-9 * (1 + ||x||_inf).
 Two separator routes are provided and kept deliberately independent:
 
 * gslp: a hand-written relaxation (sequential projection) solver for the
-  strict separation system w.(x_i - x0) <= -1, certified on failure by an
-  LP feasibility check of the convex-hull membership problem;
+  strict separation system w.(x_i - x0) <= -1.  cac asks it in four steps:
+  a short pass of n*d reflections; the LP hull-membership check, which
+  alone may declare a point inseparable; a long pass of 1000*n*d
+  reflections; and the exact separation LP;
 * svm_soft: a soft-margin maximum-margin plane used by the svm-flavoured
-  area construction.
+  area construction, with the same hull check and exact-LP fallback.
 
 cac and cacs wrap the two routes into convex area construction: one
 separating half-space per excluded point, with already-excluded points
@@ -200,7 +202,7 @@ def gslp(x0, points, max_iter: int | None = None):
         # while reflection lands strictly inside it after finitely many
         # steps whenever the cone has an interior.
         w = w - 2.0 * r[worst] * A_hat[worst]
-        if np.linalg.norm(w) > _DIVERGENCE_NORM:
+        if w @ w > _DIVERGENCE_NORM**2:
             return None
     if not ok and np.max(A_hat @ w - b) > 0.0:
         return None
@@ -358,15 +360,23 @@ def _separation_lp(u, D, bound: float = 1e12):
 
 
 def _separate_one_lp(u, D):
-    """gslp with hull certification: None only when u is provably inside."""
-    h = gslp(u, D)
+    """gslp with hull certification: None only when u is provably inside.
+
+    The first relaxation pass gets only n*d reflections: a separable point
+    takes a handful, while a point inside the hull would use up the whole
+    budget before the hull LP settles it in one solve.  gslp starts from
+    w = 0 every time, so the longer pass retraces the short one and finds
+    the plane a single long pass would.
+    """
+    n, d = D.shape
+    h = gslp(u, D, max_iter=n * d)
     if h is not None:
         return h
     if point_in_hull(u, D):
         return None
     # The relaxation gave up on a feasible system; retry with more room,
     # then hand the pathological near-boundary case to the exact LP.
-    h = gslp(u, D, max_iter=1000 * len(D) * D.shape[1])
+    h = gslp(u, D, max_iter=1000 * n * d)
     if h is not None:
         return h
     return _separation_lp(u, D)
@@ -377,7 +387,8 @@ def _separate_one_svm(u, D, c):
 
     The first attempt runs on a small iteration budget: a separable point
     converges almost immediately, while an inseparable one would grind on
-    slack trade-offs the hull oracle settles in one LP.
+    slack trade-offs the hull oracle settles in one LP.  A certified
+    separable point the solver still misses goes to the exact LP.
     """
     try:
         h = svm_soft(D, u[None, :], c=c, max_iter=5000)
@@ -389,10 +400,16 @@ def _separate_one_svm(u, D, c):
         return None
     # Certified separable: give the solver its full budget and a harder
     # penalty so the margin beats the slack.
-    h = svm_soft(D, u[None, :], c=c * 1e3)
-    if not np.any(h.values_batch(D) * h.value(u) > 0.0):
-        return h
-    raise ConvergenceError("svm separator failed the side test on a separable point")
+    try:
+        h = svm_soft(D, u[None, :], c=c * 1e3)
+        if not np.any(h.values_batch(D) * h.value(u) > 0.0):
+            return h
+    except ConvergenceError:
+        pass
+    h = _separation_lp(u, D)
+    if h is None:
+        raise ConvergenceError("no separator found a plane for a point outside the hull")
+    return h
 
 
 def _construct_area(points, inside_mask, mode, c=SVM_C_DEFAULT):
@@ -424,10 +441,12 @@ def _construct_area(points, inside_mask, mode, c=SVM_C_DEFAULT):
 def cac(points, inside):
     """Convex area containing the inside subset, excluding the rest.
 
-    One relaxation-built half-space per excluded point, skipping points
-    already excluded by earlier planes.  Returns None exactly when some
-    excluded point lies in the convex hull of the inside set (certified
-    through the LP hull oracle before None is reported).
+    One half-space per excluded point, skipping points already excluded
+    by earlier planes.  Each plane comes from the first of these steps
+    that yields one: gslp with n*d reflections; the LP hull oracle, which
+    returns None when the point lies in the convex hull of the inside set;
+    gslp with 1000*n*d reflections; the exact separation LP.  So None is
+    returned exactly when some excluded point lies in that hull.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:

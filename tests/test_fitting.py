@@ -274,6 +274,16 @@ def test_svm_separator_fits_two_pieces(seed):
     assert mse(model, data) <= 4 * sigma**2
 
 
+def test_sampling_solver_keeps_piece_areas_apart_on_unfitted_points():
+    # Six training points here fit no accepted model, so no area was built
+    # to exclude them, and two piece areas could both reach them.
+    sigma = 0.01
+    data, _ = generate_separable(500, 2, 2, sigma, 1.0, seed=1500)
+    model = cas_calr(data, FitConfig(m=2, seed=2500))
+    assert len(overlapping_training_points(model, data.X)) == 0
+    assert mse(model, data) <= 4 * sigma**2
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_empty_sample_simplex_is_separable_from_the_rest(draw):

@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from calr.exceptions import DimensionMismatchError, InputError
+from calr import geometry
+from calr.exceptions import ConvergenceError, DimensionMismatchError, InputError
 from calr.geometry import (
+    SVM_C_DEFAULT,
     ConvexArea,
     HalfSpace,
+    _separate_one_lp,
     cac,
     cacs,
     gslp,
@@ -116,6 +122,76 @@ def test_gslp_agrees_with_hull_membership():
             assert not point_in_hull(x0, D)
             assert h.value(x0) > 0.0
             assert np.max(h.values_batch(D)) <= -0.5 + 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_separator_keeps_gslp_planes_and_hull_verdicts(draw):
+    # The separator's first relaxation pass is short; a point gslp separates
+    # must still get gslp's own plane, and None must mean inside the hull.
+    d = draw.draw(st.integers(1, 4), label="d")
+    n = draw.draw(st.integers(1, 40), label="n")
+    coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    D = draw.draw(arrays(float, (n, d), elements=coord), label="D")
+    if draw.draw(st.booleans(), label="inside"):
+        weights = draw.draw(arrays(float, n, elements=st.floats(0.0, 1.0)), label="weights")
+        assume(weights.sum() > 0.0)
+        x0 = (weights / weights.sum()) @ D
+    else:
+        # Just past the hull point that is extreme along a direction.
+        c = draw.draw(arrays(float, d, elements=st.floats(-1.0, 1.0)), label="direction")
+        assume(np.linalg.norm(c) > 1e-3)
+        c = c / np.linalg.norm(c)
+        push = draw.draw(st.floats(1e-4, 1.0), label="push")
+        x0 = D[np.argmax(D @ c)] + push * c
+    h = _separate_one_lp(x0, D)
+    assert (h is None) == point_in_hull(x0, D)
+    if h is not None:
+        assert np.max(h.values_batch(D)) < 0.0 < h.value(x0)
+    g = gslp(x0, D)
+    if g is not None:
+        assert h == g
+
+
+def test_separator_asks_the_hull_before_a_long_relaxation(monkeypatch):
+    rng = np.random.default_rng(3)
+    D = rng.uniform(-1.0, 1.0, size=(250, 2))
+    n, d = D.shape
+    calls = []
+    real_gslp, real_hull = geometry.gslp, geometry.point_in_hull
+
+    def spy_gslp(x0, points, max_iter=None):
+        calls.append(100 * n * d if max_iter is None else max_iter)
+        return real_gslp(x0, points, max_iter)
+
+    def spy_hull(*args, **kwargs):
+        calls.append("hull")
+        return real_hull(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "gslp", spy_gslp)
+    monkeypatch.setattr(geometry, "point_in_hull", spy_hull)
+    assert _separate_one_lp(D.mean(axis=0), D) is None
+    assert "hull" in calls
+    assert all(budget <= n * d for budget in calls[: calls.index("hull")])
+
+
+def test_svm_separator_falls_back_to_the_exact_lp(monkeypatch):
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-2.0, 2.0, size=(12, 2))
+    inside = np.linalg.norm(points, axis=1) < 1.2
+    assert 0 < inside.sum() < len(points)
+    retries = []
+
+    def failing_svm(pos, neg, c=SVM_C_DEFAULT, max_iter=None):
+        if c > SVM_C_DEFAULT:
+            retries.append(c)  # the retry on a point certified outside the hull
+        raise ConvergenceError("stub solver never converges")
+
+    monkeypatch.setattr(geometry, "svm_soft", failing_svm)
+    area = cacs(points, inside)
+    assert retries
+    assert area is not None
+    assert area.contains_batch(points).tolist() == inside.tolist()
 
 
 def test_svm_toy_problem_matches_hand_solution():

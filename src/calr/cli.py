@@ -54,7 +54,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--algo", choices=("cas", "cas2", "naive"), default="cas")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--epsilon", type=_epsilon_flag, default="auto")
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
@@ -157,7 +156,6 @@ def cmd_fit(args) -> int:
         return 0
     config = FitConfig(
         m=args.m,
-        tau=args.tau,
         epsilon=args.epsilon,
         delta=args.delta,
         seed=args.seed,

@@ -3,15 +3,16 @@
 Three solution paths live here:
 
 * naive_calr: exact single-piece solver by subset enumeration (small n);
-* cas_calr: the sampling solver — draw d+1 points, gate on the F-test,
-  an empty sample simplex and coefficient distance, shrink the residual
-  set, then build piece areas and hand overlap strips to post;
+* cas_calr: the sampling solver — draw d+1 points, gate on y not flat on
+  them (the F-test on d+1 points), an empty sample simplex and
+  coefficient distance, shrink the residual set, then build piece areas
+  and hand overlap strips to post;
 * cas2: a two-function variant that settles piece-vs-default by which of
   the two fitting sets is separable.
 
-Both sampling solvers share one _Sampler: its setup and its draw gates.
-For d+1 affinely independent points the barycentric simplex test decides
-separability exactly, so cas_calr's sampling needs no separator call.
+Both sampling solvers share one _Sampler: its setup and its draw gates,
+all settled by one SVD of the sample.  The barycentric simplex test
+decides separability exactly, so cas_calr's sampling needs no separator.
 
 All randomness goes through numpy's default PCG64 generator seeded from
 the config, so fits are deterministic per (data, config).
@@ -29,11 +30,12 @@ from .calf import CalfModel, overlapping_training_points
 from .dataset import Dataset
 from .exceptions import (
     BudgetExhaustedError,
+    ConvergenceError,
     InputError,
     SeparabilityError,
 )
 from .geometry import cac, cacs
-from .linreg import _ols, coefficient_distance, lr
+from .linreg import RCOND, LinearModel, _f_pvalue, _ols, coefficient_distance, lr
 
 _EPS_MULTIPLIER = 4.0
 _EPS_FLOOR_SCALE = 1e-9
@@ -53,7 +55,6 @@ class FitConfig:
     """
 
     m: int = 1
-    tau: float = 0.05
     epsilon: object = "auto"
     delta: float = 0.5
     seed: int = 0
@@ -63,8 +64,6 @@ class FitConfig:
     def __post_init__(self):
         if self.m < 0:
             raise InputError("m must be nonnegative")
-        if not (0.0 < self.tau < 1.0):
-            raise InputError("tau must lie in (0, 1)")
         if self.epsilon != "auto":
             self.epsilon = float(self.epsilon)
             if self.epsilon <= 0:
@@ -127,23 +126,33 @@ def _refit_within(X, y, f, eps, rounds=_CONSENSUS_ROUNDS):
     return f
 
 
-def _simplex_contains_any(S, Q, tol=1e-9) -> bool:
-    """Whether the closed hull of d+1 affinely independent points S holds any row of Q.
+def _interpolant(S, ys, Q=None):
+    """_ols's fit of d+1 sample rows (S, ys), or None if a sampling gate rejects it.
 
-    Exact barycentric test: lam solves [S^T; 1] lam = [q; 1]; q is inside
-    iff every coordinate is nonnegative.  For such an S the answer settles
-    whether S can be separated from Q by a convex area.  A singular
-    system counts as containing, so a degenerate sample is rejected.
+    One SVD of A = [1 | S] settles the gates: full rank (matrix_rank's
+    tolerance); y fitted exactly and not flat, to which the F-test on d+1
+    points reduces (_f_pvalue is 0 then, else 1); and, given rest rows Q,
+    no q whose barycentric coordinates A^-T [1 | q] are all >= -1e-6, which
+    for affinely independent S is exact separability from Q and also
+    skips rows barely outside, costly to separate.
     """
-    if len(Q) == 0:
-        return False
-    A = np.concatenate([S.T, np.ones((1, len(S)))])
-    B = np.concatenate([Q.T, np.ones((1, len(Q)))])
-    try:
-        lam = np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        return True
-    return bool(np.any(np.min(lam, axis=0) >= -tol))
+    k = len(S)
+    A = np.column_stack([np.ones(k), S])
+    U, s, Vt = np.linalg.svd(A)
+    if s[-1] <= s[0] * k * np.finfo(float).eps:
+        return None
+    s_inv = np.where(s > RCOND * s[0], 1.0 / s, 0.0)
+    beta = Vt.T @ (s_inv * (U.T @ ys))
+    fitted = A @ beta
+    sse = float((ys - fitted) @ (ys - fitted))
+    ssr = float(np.sum((fitted - float(np.mean(ys))) ** 2))
+    if _f_pvalue(ssr, sse, k, k - 1, y_scale=float(ys @ ys)) != 0.0:
+        return None
+    if Q is not None:
+        lam = U @ ((Vt @ np.column_stack([np.ones(len(Q)), Q]).T) / s[:, None])
+        if np.any(np.min(lam, axis=0) >= -1e-6):
+            return None
+    return LinearModel(coeffs=beta, mse=sse / k, p_value=0.0, n_fit=k)
 
 
 class _Sampler:
@@ -158,7 +167,7 @@ class _Sampler:
         n, d, m = data.n, data.d, config.m
         if n <= (m + 1) * (d + 1):
             raise InputError(f"need n > (m+1)(d+1) = {(m + 1) * (d + 1)} points (got {n})")
-        self.m, self.tau = m, config.tau
+        self.m = m
         self.rng = np.random.default_rng(config.seed)
         self.budget = config.max_samples or default_budget(m, d)
         self.separate = cac if config.separator == "lp" else cacs
@@ -173,28 +182,19 @@ class _Sampler:
     def draw(self, X, y, isolated=False):
         """One draw of d+1 rows of (X, y): (model, fit mask) or None if a gate rejects it.
 
-        Gates, in order: the sample has full affine rank; its interpolant
-        passes the F-test (p < tau); with isolated, no other row lies in
-        the sample's simplex (tolerance 1e-6, which also skips rows barely
-        outside it, costly to separate); and the refined candidate fits
-        enough rows.  A few rounds of refitting on the rows within eps
-        snap a sample drawn inside one piece onto that piece; the support
-        stays near d+1 for a plane cutting across pieces, because a slab
-        of width 2 eps around a wrong plane holds almost nothing.
+        Gates: those of _interpolant (rest rows only with isolated), then
+        the refined candidate must fit enough rows.  A few rounds of
+        refitting on the rows within eps snap a sample drawn inside one
+        piece onto that piece; the support stays near d+1 for a plane
+        cutting across pieces, because a slab of width 2 eps around a
+        wrong plane holds almost nothing.
         """
         self.draws += 1
         d = X.shape[1]
         sample = self.rng.choice(len(X), size=d + 1, replace=False)
-        if np.linalg.matrix_rank(np.column_stack([np.ones(d + 1), X[sample]])) < d + 1:
+        f = _interpolant(X[sample], y[sample], np.delete(X, sample, axis=0) if isolated else None)
+        if f is None:
             return None
-        f = _ols(X[sample], y[sample])
-        if not f.p_value < self.tau:
-            return None
-        if isolated:
-            rest = np.ones(len(X), dtype=bool)
-            rest[sample] = False
-            if _simplex_contains_any(X[sample], X[rest], tol=1e-6):
-                return None
         f = _refit_within(X, y, f, self.eps)
         fits = np.abs(y - f.predict_batch(X)) < self.eps
         if int(fits.sum()) < max(d + 2, len(X) // (_SUPPORT_SHARE * (self.m + 1))):
@@ -351,17 +351,17 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
     """Sampling solver: find m piece models plus a default, then carve areas.
 
     Draws d+1-point subsets of the residual set and accepts a candidate
-    that passes the F-test gate (p < tau), whose sample simplex holds no
-    other residual point (for affinely independent points this is exactly
-    separability from the rest of the residual set), keeps enough fitting
-    points to look like a real piece, and sits at coefficient distance
-    >= delta from every earlier acceptance; each acceptance shrinks the
-    residual set.  With epsilon="auto" the fitting tolerance comes from a
-    nearest-neighbor noise estimate made before sampling.  If the residual
-    set runs dry early or the accepted models cannot be assembled into
-    disjoint areas, the search discards them and starts over on the same
-    draw budget.  Raises BudgetExhaustedError (carrying the largest partial
-    model list and a global-fit fallback) when the budget runs out.
+    that passes the draw gates (full rank; y not flat on the sample, the
+    F-test on d+1 points; no other residual point in the sample simplex,
+    exactly separability from the rest; enough fitting points) and sits
+    at coefficient distance >= delta from every earlier acceptance; each
+    acceptance shrinks the residual set.  With epsilon="auto" the fitting
+    tolerance comes from a nearest-neighbor noise estimate made before
+    sampling.  If the residual set runs dry early, or the accepted models
+    cannot be assembled into disjoint areas (a separator failure counts
+    as that), the search starts over on the same draw budget.  Raises
+    BudgetExhaustedError (carrying the largest partial model list and a
+    global-fit fallback) when the budget runs out.
     """
     if config.m == 0:
         model = _global_model(data)
@@ -391,7 +391,7 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
         if len(accepted) == target:
             try:
                 model = _assemble(data, accepted, sampler.eps, sampler.separate)
-            except SeparabilityError:
+            except (SeparabilityError, ConvergenceError):
                 model = None
         if model is None:
             if sampler.exhausted:
@@ -418,11 +418,12 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
 def cas2(data: Dataset, config: FitConfig) -> CalfModel:
     """Two-function solver: one sampled fit splits the data, areas decide roles.
 
-    Samples until a fit passes the F-test and support gates, splits points
-    into the fitting set and its complement (dropping points fitting
-    both), and keeps whichever side admits a convex area: that side
-    becomes the single piece and the other model the default.  Mixed
-    samples are redrawn under the same budget as cas_calr.
+    Samples until a fit passes the draw gates (full rank, y not flat on
+    the sample, support), splits points into the fitting set and its
+    complement (dropping points fitting both), and keeps whichever side
+    admits a convex area: that side becomes the single piece and the
+    other model the default.  Mixed samples, and draws on which the
+    separator fails, are redrawn under the same budget as cas_calr.
     """
     if config.m != 1:
         raise InputError("this solver handles exactly one piece (m=1)")
@@ -446,15 +447,18 @@ def cas2(data: Dataset, config: FitConfig) -> CalfModel:
         universe = np.flatnonzero(~both)
         if not d1.any():
             continue
-        area1 = sampler.separate(X[universe], d1[universe])
+        try:
+            area1 = sampler.separate(X[universe], d1[universe])
+            area2 = None if area1 is not None else sampler.separate(X[universe], d2[universe])
+        except ConvergenceError:
+            continue
         if area1 is not None:
             piece, default, branch = (f1, area1), f2, "piece_area"
-        else:
-            area2 = sampler.separate(X[universe], d2[universe])
-            if area2 is None:
-                neither_separable += 1
-                continue
+        elif area2 is not None:
             piece, default, branch = (f2, area2), f1, "complement_area"
+        else:
+            neither_separable += 1
+            continue
         model = CalfModel(default=default, pieces=(piece,))
         model.fit_info = {
             "samples_used": sampler.draws,

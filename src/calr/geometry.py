@@ -230,7 +230,8 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
     after the iteration budget if still far from optimal.  The returned
     half-space is oriented with the pos set on the positive side.  If any
     input point lands exactly on the plane, gamma is nudged by a tiny
-    offset so no input evaluates to exactly zero.
+    offset so no input evaluates to exactly zero.  Memory is O(n^2): the
+    dense Gram matrix of n = len(pos) + len(neg) points takes 8 n^2 bytes.
     """
     P = np.asarray(pos, dtype=float)
     N = np.asarray(neg, dtype=float)

@@ -95,7 +95,7 @@ def test_bad_inputs_exit_1(tmp_path):
     plateau_csv(data_path)
     r = run_cli("fit", "--data", data_path, "--algo", "cas2", "--m", 3)
     assert r.returncode == 1
-    r = run_cli("fit", "--data", data_path, "--tau", 2.0)
+    r = run_cli("fit", "--data", data_path, "--delta", 0)
     assert r.returncode == 1
     r = run_cli("eval", "--model", tmp_path / "nope.json", "--data", data_path)
     assert r.returncode == 1

@@ -11,14 +11,16 @@ from numpy.testing import assert_allclose
 
 from calr.calf import CalfModel, overlapping_training_points, predict
 from calr.dataset import Dataset, generate_separable
+from calr import geometry
 from calr.exceptions import (
     BudgetExhaustedError,
+    ConvergenceError,
     InputError,
     SeparabilityError,
 )
 from calr.fitting import (
     FitConfig,
-    _simplex_contains_any,
+    _interpolant,
     cas2,
     cas_calr,
     default_budget,
@@ -27,7 +29,7 @@ from calr.fitting import (
     post,
 )
 from calr.geometry import cac
-from calr.linreg import LinearModel, coefficient_distance, lr, mse
+from calr.linreg import LinearModel, _ols, coefficient_distance, lr, mse
 
 
 def best_matching_distance(truth, model):
@@ -54,8 +56,6 @@ def test_fit_config_validation():
     FitConfig(epsilon=0.5)
     for bad in (
         dict(m=-1),
-        dict(tau=0.0),
-        dict(tau=1.0),
         dict(epsilon=-0.1),
         dict(epsilon=0.0),
         dict(delta=0.0),
@@ -160,7 +160,7 @@ def test_sampling_solver_needs_enough_points():
 
 def test_sampling_solver_recovers_planted_pieces():
     data, truth = generate_separable(500, 2, 2, 0.01, 1.0, seed=0)
-    config = FitConfig(m=2, tau=0.05, epsilon="auto", delta=0.5, seed=1000)
+    config = FitConfig(m=2, epsilon="auto", delta=0.5, seed=1000)
     model = cas_calr(data, config)
     assert model.m == 2
     assert mse(model, data) <= 4.0 * (4.0 * 0.01**2)
@@ -299,9 +299,132 @@ def test_empty_sample_simplex_is_separable_from_the_rest(draw):
     k = draw.draw(st.integers(0, 10), label="rest size")
     lam = draw.draw(arrays(float, (k, d), elements=st.floats(-2.0, 2.0)), label="weights")
     Q = np.column_stack([lam, 1.0 - lam.sum(axis=1)]) @ S
-    assume(not _simplex_contains_any(S, Q, tol=1e-6))
+    assume(_interpolant(S, np.arange(d + 1.0), Q) is not None)
     points = np.vstack([S, Q])
     inside = np.arange(len(points)) < d + 1
     area = cac(points, inside)
     assert area is not None
     assert area.contains_batch(points).tolist() == inside.tolist()
+
+
+def _failing_first_svm_call(monkeypatch):
+    """Make the svm route's first plane raise ConvergenceError; later calls delegate."""
+    calls = []
+    original = geometry._separate_one_svm
+
+    def flaky(u, D, c):
+        calls.append(len(D))
+        if len(calls) == 1:
+            raise ConvergenceError("no separator found a plane for a point outside the hull")
+        return original(u, D, c)
+
+    monkeypatch.setattr(geometry, "_separate_one_svm", flaky)
+    return calls
+
+
+def test_separator_failure_restarts_the_sampling_solver(monkeypatch):
+    data, truth = generate_separable(200, 2, 1, 0.01, 1.0, seed=14)
+    calls = _failing_first_svm_call(monkeypatch)
+    model = cas_calr(data, FitConfig(m=1, seed=9, separator="svm"))
+    assert len(calls) > 1
+    assert model.fit_info["attempts"] >= 2
+    assert best_matching_distance(truth, model) <= 0.1
+
+
+def test_separator_failure_rejects_one_two_function_draw(monkeypatch):
+    data, truth = generate_separable(400, 2, 1, 0.05, 1.0, seed=11)
+    config = FitConfig(m=1, seed=31, separator="svm")
+    untouched = cas2(data, config).fit_info["samples_used"]
+    calls = _failing_first_svm_call(monkeypatch)
+    model = cas2(data, config)
+    assert len(calls) > 1
+    assert model.fit_info["samples_used"] > untouched
+    got = model.assign_batch(data.X) != 0
+    agree = float(np.mean(got == (truth.assignments != 0)))
+    assert max(agree, 1.0 - agree) >= 0.95
+
+
+def _three_step_gate(S, ys, Q):
+    """Reference sampling gate, three separate checks: rank, F-test, barycentric solve.
+
+    Returns (fit or None, barycentric coordinates of Q or None).
+    """
+    k = len(S)
+    if np.linalg.matrix_rank(np.column_stack([np.ones(k), S])) < k:
+        return None, None
+    f = _ols(S, ys)
+    if not f.p_value < 0.05:
+        return None, None
+    if len(Q) == 0:
+        return f, None
+    A = np.concatenate([S.T, np.ones((1, k))])
+    try:
+        lam = np.linalg.solve(A, np.concatenate([Q.T, np.ones((1, len(Q)))]))
+    except np.linalg.LinAlgError:
+        return None, None
+    if np.any(np.min(lam, axis=0) >= -1e-6):
+        return None, lam
+    return f, lam
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_svd_gate_matches_the_three_step_gate(draw):
+    # Samples sit on both sides of each gate: duplicate rows and exactly
+    # collinear columns (rank), flat and linear y (flatness), rest points
+    # on the simplex's faces and corners (barycentric).  Near-collinear
+    # columns stay near cond 1e12 or above 1e17, clear of the pinv cutoff
+    # 1e10 and of matrix_rank's cutoff near 1e15.
+    d = draw.draw(st.integers(1, 4), label="d")
+    coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    S = draw.draw(arrays(float, (d + 1, d), elements=coord, fill=st.nothing()), label="sample")
+    # Spreading the rows over a corner simplex makes most free samples
+    # well-conditioned; without it they are often degenerate.
+    spread = draw.draw(st.sampled_from([0.0, 1.0, 10.0]), label="spread")
+    S += spread * np.vstack([np.zeros(d), np.eye(d)])
+    shape = draw.draw(
+        st.sampled_from(["free", "duplicate row", "collinear", "cond 1e12", "cond 1e17"]),
+        label="shape",
+    )
+    wobble = draw.draw(arrays(float, d + 1, elements=st.floats(0.5, 1.0)), label="wobble")
+    base = S[:, 0] if d > 1 else np.full(d + 1, S[0, 0])
+    if shape == "duplicate row":
+        S[-1] = S[0]
+    elif shape == "collinear":
+        S[:, -1] = 2.0 * base
+    elif shape == "cond 1e12":
+        S[:, -1] = base + 1e-11 * wobble * np.sign(np.arange(d + 1) - d / 2.0)
+    elif shape == "cond 1e17":
+        S[:, -1] = base + 1e-17 * wobble * np.sign(np.arange(d + 1) - d / 2.0)
+    A = np.column_stack([np.ones(d + 1), S])
+    sv = np.linalg.svd(A, compute_uv=False)
+    cond = sv[0] / max(sv[-1], 1e-300)
+    if shape in ("free", "cond 1e12"):
+        assume(not (1e9 <= cond <= 1e11 or 1e13 <= cond <= 1e17))
+    y_kind = draw.draw(st.sampled_from(["random", "flat", "linear"]), label="y")
+    if y_kind == "random":
+        ys = draw.draw(arrays(float, d + 1, elements=coord, fill=st.nothing()), label="ys")
+    elif y_kind == "flat":
+        ys = np.full(d + 1, draw.draw(coord, label="level"))
+    else:
+        beta = draw.draw(arrays(float, d + 1, elements=coord, fill=st.nothing()), label="beta")
+        ys = A @ beta
+    k = draw.draw(st.integers(0, 6), label="rest size")
+    weights = draw.draw(arrays(float, (k, d), elements=st.floats(-2.0, 2.0)), label="weights")
+    Q = np.column_stack([weights, 1.0 - weights.sum(axis=1)]) @ S
+    if draw.draw(st.booleans(), label="sample row in the rest"):
+        Q = np.vstack([Q, S[-1]])
+
+    want, lam = _three_step_gate(S, ys, Q)
+    if lam is not None:
+        # Solving an ill-conditioned system moves lam by about cond * eps;
+        # keep the verdict clear of that.
+        margin = 1e-15 * cond * (1.0 + np.max(np.abs(lam)))
+        assume(np.all(np.abs(np.min(lam, axis=0) + 1e-6) > margin))
+    got = _interpolant(S, ys, Q)
+    assert (got is None) == (want is None)
+    if got is not None:
+        P = np.vstack([S, Q])
+        ref = want.predict_batch(P)
+        atol = 1e-9 * np.max(np.abs(ref), initial=1.0)
+        assert_allclose(got.predict_batch(P), ref, rtol=1e-9, atol=atol)

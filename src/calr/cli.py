@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .calf import CalfModel, PldcSpec, decide_calr, pldc_to_calf
-from .dataset import Dataset, generate_separable, load_csv, load_matrix, write_csv
+from .dataset import Dataset, generate_separable, load_csv, load_matrix, write_csv, write_rows
 from .exceptions import BudgetExhaustedError, FitDiagnostic, InputError
 from .fitting import FitConfig, NAIVE_CAP_DEFAULT, cas2, cas_calr, naive_calr
 from .linreg import mse
@@ -194,11 +194,7 @@ def cmd_predict(args) -> int:
             f"model expects {model.d} feature columns, file has {values.shape[1]}"
         )
     preds = model.predict_batch(values)
-    with open(args.out, "w") as fh:
-        fh.write(",".join(list(names) + ["prediction"]) + "\n")
-        for row, p in zip(values, preds):
-            cells = [repr(float(v)) for v in row] + [repr(float(p))]
-            fh.write(",".join(cells) + "\n")
+    write_rows(args.out, names + ("prediction",), np.column_stack([values, preds]))
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ GRID_CELLS_PER_AXIS = 6
 _COEFF_RANGE = 3.0
 _COEFF_RETRIES = 1000
 _REJECTION_FACTOR = 1000
+_WRITE_BLOCK_ROWS = 4096
 
 
 @dataclass(eq=False)
@@ -75,18 +77,47 @@ class Dataset:
         return self.n
 
 
+# numpy strips these separator controls around a number; float() does not.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _nonblank(row) -> bool:
+    return bool(row) and any(cell.strip() for cell in row)
+
+
 def load_matrix(path):
-    """Parse a numeric CSV with one header row into (column names, matrix)."""
+    """Parse a numeric CSV with one header row into (column names, matrix).
+
+    The header is the first non-blank row.  numpy's C reader parses the
+    body; when it refuses the body (blank cells, quotes, ragged rows, or
+    cells such as "1_000" that only Python's float accepts), the body is
+    parsed cell by cell instead, which either reads it the same way or
+    names the offending row and column.
+    """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            header = next((row for row in csv.reader(fh) if _nonblank(row)), None)
+            body = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
+    if header is None:
         raise CsvFormatError("empty file")
-    header = [c.strip() for c in rows[0]]
-    body = rows[1:]
+    header = tuple(c.strip() for c in header)
+    if body.strip() and not any(c in body for c in _NUMPY_ONLY_SPACE):
+        try:
+            values = np.loadtxt(
+                io.StringIO(body, newline=""), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError:
+            values = None
+        if values is not None and values.shape[1] == len(header):
+            return header, values
+    return header, _parse_cells(header, csv.reader(io.StringIO(body, newline="")))
+
+
+def _parse_cells(header, rows) -> np.ndarray:
+    """The body of a CSV, one float() per cell, with the row and column of a bad cell."""
+    body = [r for r in rows if _nonblank(r)]
     if not body:
         raise CsvFormatError("no data rows after the header")
     values = np.empty((len(body), len(header)), dtype=float)
@@ -102,7 +133,7 @@ def load_matrix(path):
                 raise CsvFormatError(
                     f"non-numeric cell {cell.strip()!r}", row=i + 2, column=j + 1
                 ) from None
-    return tuple(header), values
+    return values
 
 
 def load_csv(path, target_column=None) -> Dataset:
@@ -129,11 +160,17 @@ def load_csv(path, target_column=None) -> Dataset:
 
 def write_csv(data: Dataset, path) -> None:
     """Write a Dataset as comma-delimited text with full-precision reals."""
+    write_rows(path, data.column_names, np.column_stack([data.X, data.y]))
+
+
+def write_rows(path, names, values) -> None:
+    """Write a header and the rows of a float matrix, each real as its repr."""
+    row = ",".join(["%r"] * values.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(data.column_names) + "\n")
-        for i in range(data.n):
-            cells = [repr(float(v)) for v in data.X[i]] + [repr(float(data.y[i]))]
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(values), _WRITE_BLOCK_ROWS):
+            block = values[start : start + _WRITE_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass(eq=False)
@@ -223,6 +260,37 @@ def _draw_functions(rng, d: int, m: int, delta: float):
     )
 
 
+def _default_points(rng, needed, d, boxes):
+    """needed points uniform over the arena, rejecting anything near a box.
+
+    Candidates are drawn in blocks, then the generator is rewound and made
+    to redraw exactly the candidates up to the last accepted one, so it
+    ends in the state that drawing them one at a time leaves.
+    """
+    span = GRID_CELLS_PER_AXIS * 3.0 * BOX_SIDE
+    pad = 0.25 * BOX_SIDE
+    cap = _REJECTION_FACTOR * max(needed, 1)
+    start = rng.bit_generator.state
+    blocks, clear = [], []
+    drawn = got = 0
+    while got < needed:
+        if drawn >= cap:
+            raise PlacementError("could not place default-region points clear of the boxes")
+        C = rng.uniform(-BOX_SIDE, span + BOX_SIDE, size=(min(cap - drawn, 2 * (needed - got)), d))
+        near = np.zeros(len(C), dtype=bool)
+        for lo, hi in boxes:
+            near |= np.all(C >= lo - pad, axis=1) & np.all(C <= hi + pad, axis=1)
+        blocks.append(C)
+        clear.append(~near)
+        drawn += len(C)
+        got += len(C) - int(near.sum())
+    C, clear = np.concatenate(blocks), np.concatenate(clear)
+    used = int(np.flatnonzero(clear)[needed - 1]) + 1  # what one-at-a-time draws consume
+    rng.bit_generator.state = start
+    rng.uniform(-BOX_SIDE, span + BOX_SIDE, size=(used, d))
+    return C[:used][clear[:used]]
+
+
 def generate_separable(n, d, m, sigma, delta, seed):
     """Plant m disjoint convex regions plus a default region and sample them.
 
@@ -250,9 +318,7 @@ def generate_separable(n, d, m, sigma, delta, seed):
 
     per_piece = max(d + 2, n // (2 * m)) if m > 0 else 0
     counts = [n - m * per_piece] + [per_piece] * m
-    span = GRID_CELLS_PER_AXIS * 3.0 * BOX_SIDE
     inset = 0.05 * BOX_SIDE
-    pad = 0.25 * BOX_SIDE
 
     X = np.empty((n, d))
     assignments = np.empty(n, dtype=int)
@@ -263,24 +329,8 @@ def generate_separable(n, d, m, sigma, delta, seed):
         X[row : row + counts[piece]] = pts
         assignments[row : row + counts[piece]] = piece
         row += counts[piece]
-    # Default points: uniform over the arena, rejecting anything near a box.
-    needed = counts[0]
-    got = 0
-    attempts = 0
-    cap = _REJECTION_FACTOR * max(needed, 1)
-    while got < needed:
-        if attempts >= cap:
-            raise PlacementError("could not place default-region points clear of the boxes")
-        attempts += 1
-        x = rng.uniform(-BOX_SIDE, span + BOX_SIDE, size=d)
-        near = any(
-            np.all(x >= lo - pad) and np.all(x <= hi + pad) for lo, hi in boxes
-        )
-        if near:
-            continue
-        X[row + got] = x
-        assignments[row + got] = 0
-        got += 1
+    X[row:] = _default_points(rng, counts[0], d, boxes)
+    assignments[row:] = 0
 
     order = rng.permutation(n)
     X = X[order]
@@ -288,8 +338,12 @@ def generate_separable(n, d, m, sigma, delta, seed):
 
     noise = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
     y = np.empty(n)
-    for i in range(n):
-        y[i] = models[assignments[i]].predict(X[i]) + noise[i]
+    for k, f in enumerate(models):
+        rows = np.flatnonzero(assignments == k)
+        # A stacked (1, d) @ (d, 1) product takes the same dot kernel as
+        # f.predict(x) on each row, so y matches the per-row sum bit for bit.
+        dots = np.matmul(X[rows, None, :], f.coeffs[1:, None])[:, 0, 0]
+        y[rows] = f.coeffs[0] + dots + noise[rows]
 
     pieces = tuple((models[k + 1], _box_area(*boxes[k])) for k in range(m))
     model = CalfModel(default=models[0], pieces=pieces)

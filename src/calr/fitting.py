@@ -377,8 +377,10 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
     attempts = 1
     model = None
     while model is None:
+        # The residual rows change only on an acceptance; draws share them.
+        X_rest, y_rest = X[remaining], y[remaining]
         while len(accepted) < target and not sampler.exhausted and len(remaining) > d:
-            drawn = sampler.draw(X[remaining], y[remaining], isolated=True)
+            drawn = sampler.draw(X_rest, y_rest, isolated=True)
             if drawn is None:
                 continue
             f, fits = drawn
@@ -386,6 +388,7 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
                 continue
             accepted.append(f)
             remaining = remaining[~fits]
+            X_rest, y_rest = X[remaining], y[remaining]
         if len(accepted) > len(best_partial):
             best_partial = list(accepted)
         if len(accepted) == target:

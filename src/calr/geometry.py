@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .exceptions import ConvergenceError, DimensionMismatchError, InputError
 
@@ -148,6 +147,8 @@ def point_in_hull(x0, points, tol: float = HULL_TOL) -> bool:
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or x0.shape != (P.shape[1],):
         raise DimensionMismatchError("point and hull vertices disagree on dimension")
+    from scipy.optimize import linprog  # SciPy loads on the first LP only
+
     n = len(P)
     a_eq = np.vstack([P.T, np.ones((1, n))])
     b_eq = np.concatenate([x0, [1.0]])
@@ -343,6 +344,8 @@ def _separation_lp(u, D, bound: float = 1e12):
     margin-midpoint half-space or None when even the LP finds the system
     infeasible.
     """
+    from scipy.optimize import linprog
+
     A_ub = D - u
     n = len(A_ub)
     res = linprog(

@@ -11,6 +11,8 @@ build and serialize the program; solving it is left to external tools.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,42 +87,14 @@ class MipInstance:
 
     def constraints(self) -> list:
         """All constraint rows, one dict per row, grouped by family."""
-        rows = []
-        for i in range(self.n):
-            for j in range(self.M):
-                for k in range(self.K):
-                    rows.append({"family": "indicator_binary", "i": i, "j": j, "k": k})
-        for i in range(self.n):
-            rows.append({"family": "one_piece_per_point", "i": i})
-        for i in range(self.n):
-            for j in range(self.M):
-                rows.append({"family": "product_link", "i": i, "j": j})
-        for i in range(self.n):
-            for j in range(self.M):
-                for k in range(self.K):
-                    rows.append(
-                        {"family": "halfspace_activation", "i": i, "j": j, "k": k}
-                    )
-        return rows
+        return list(_constraint_rows(self.n, self.M, self.K))
 
     def objective_terms(self) -> list:
         """Per point: the residual's terms; objective = sum of squared residuals."""
-        out = []
-        for i in range(self.n):
-            terms = [{"coeff": 1.0, "vars": [["beta", 0, 0]]}]
-            for l in range(self.d):
-                terms.append({"coeff": float(self.X[i, l]), "vars": [["beta", 0, l + 1]]})
-            for j in range(self.M):
-                terms.append({"coeff": 1.0, "vars": [["prod", i, j], ["beta", j + 1, 0]]})
-                for l in range(self.d):
-                    terms.append(
-                        {
-                            "coeff": float(self.X[i, l]),
-                            "vars": [["prod", i, j], ["beta", j + 1, l + 1]],
-                        }
-                    )
-            out.append({"point": i, "constant": -float(self.y[i]), "terms": terms})
-        return out
+        return [
+            _residual(i, x, -v, self.M)
+            for i, (x, v) in enumerate(zip(self.X.tolist(), self.y.tolist()))
+        ]
 
     # -- evaluation against a candidate assignment --
 
@@ -172,7 +146,35 @@ def build_mip(data: Dataset, M: int, K: int, tau: float | None = None) -> MipIns
     return MipInstance(n=data.n, d=data.d, M=int(M), K=int(K), tau=float(tau), X=data.X, y=data.y)
 
 
-def instance_to_doc(instance: MipInstance) -> dict:
+def _constraint_rows(n: int, M: int, K: int):
+    for i in range(n):
+        for j in range(M):
+            for k in range(K):
+                yield {"family": "indicator_binary", "i": i, "j": j, "k": k}
+    for i in range(n):
+        yield {"family": "one_piece_per_point", "i": i}
+    for i in range(n):
+        for j in range(M):
+            yield {"family": "product_link", "i": i, "j": j}
+    for i in range(n):
+        for j in range(M):
+            for k in range(K):
+                yield {"family": "halfspace_activation", "i": i, "j": j, "k": k}
+
+
+def _residual(i, x, constant, M: int) -> dict:
+    """Point i's residual: the default model's terms, then each piece's gated by prod[i, j]."""
+    terms = [{"coeff": 1.0, "vars": [["beta", 0, 0]]}]
+    for l, v in enumerate(x):
+        terms.append({"coeff": v, "vars": [["beta", 0, l + 1]]})
+    for j in range(M):
+        terms.append({"coeff": 1.0, "vars": [["prod", i, j], ["beta", j + 1, 0]]})
+        for l, v in enumerate(x):
+            terms.append({"coeff": v, "vars": [["prod", i, j], ["beta", j + 1, l + 1]]})
+    return {"point": i, "constant": constant, "terms": terms}
+
+
+def _document(instance: MipInstance, residuals, constraints, X, y) -> dict:
     return {
         "version": MIP_SCHEMA_VERSION,
         "note": (
@@ -192,20 +194,86 @@ def instance_to_doc(instance: MipInstance) -> dict:
         "objective": {
             "sense": "minimize",
             "form": "sum of squared point residuals",
-            "residuals": instance.objective_terms(),
+            "residuals": residuals,
         },
-        "constraints": instance.constraints(),
-        "data": {
-            "X": [[float(v) for v in row] for row in instance.X],
-            "y": [float(v) for v in instance.y],
-        },
+        "constraints": constraints,
+        "data": {"X": X, "y": y},
     }
 
 
+def instance_to_doc(instance: MipInstance) -> dict:
+    return _document(
+        instance,
+        instance.objective_terms(),
+        instance.constraints(),
+        instance.X.tolist(),
+        instance.y.tolist(),
+    )
+
+
+# The skeleton holds each bulk list as one marker item, which json writes as "\u0000name".
+_MARK = "\x00"
+_MARKED = re.compile(r'"\\u0000(\w+)"')
+_SLOT = re.compile(r'"%%\((\w+)\)s"')
+
+
+def _slot(name: str) -> str:
+    return f"%({name})s"
+
+
+def _template(item, indent: str) -> str:
+    """json's text of a list item at `indent`, with its "%(name)s" strings as % slots."""
+    text = json.dumps(item, sort_keys=True, indent=2).replace("%", "%%")
+    return _SLOT.sub(r"%(\1)s", text).replace("\n", "\n" + indent)
+
+
+def _json_float(v: float) -> str:
+    return repr(v) if math.isfinite(v) else json.dumps(v)
+
+
+def _bulk_rows(instance: MipInstance, name: str, indent: str):
+    """The item texts of one bulk list of the document, written at `indent`."""
+    if name == "constraints":
+        templates = {
+            row["family"]: _template(
+                {key: v if key == "family" else _slot(key) for key, v in row.items()}, indent
+            )
+            for row in _constraint_rows(1, 1, 1)
+        }
+        for row in _constraint_rows(instance.n, instance.M, instance.K):
+            yield templates[row["family"]] % row
+        return
+    xs = [f"x{l}" for l in range(instance.d)]
+    item = {
+        "residuals": _residual(_slot("i"), [_slot(x) for x in xs], _slot("c"), instance.M),
+        "X": [_slot(x) for x in xs],
+        "y": _slot("y"),
+    }[name]
+    template = _template(item, indent)
+    for i, (x, v) in enumerate(zip(instance.X.tolist(), instance.y.tolist())):
+        fields = dict(zip(xs, map(_json_float, x)), i=i, c=_json_float(-v), y=_json_float(v))
+        yield template % fields
+
+
 def export_mip(instance: MipInstance, path) -> None:
-    """Write the program as canonical JSON (sorted keys, full precision)."""
+    """Write the program as canonical JSON (sorted keys, full precision).
+
+    The file is json.dumps(instance_to_doc(instance), sort_keys=True,
+    indent=2) plus a newline, byte for byte, without building that
+    document: json writes a skeleton in which each bulk list (residuals,
+    constraints, data) holds one marker, and each list's rows are filled
+    into templates that json made from one row of placeholders.
+    """
+    bulk = [[_MARK + name] if instance.n else [] for name in ("residuals", "constraints", "X", "y")]
+    parts = _MARKED.split(json.dumps(_document(instance, *bulk), sort_keys=True, indent=2))
     with open(path, "w") as fh:
-        json.dump(instance_to_doc(instance), fh, sort_keys=True, indent=2)
+        fh.write(parts[0])
+        for k in range(1, len(parts), 2):
+            indent = parts[k - 1][parts[k - 1].rfind("\n") + 1 :]
+            rows = _bulk_rows(instance, parts[k], indent)
+            fh.write(next(rows))
+            fh.writelines(",\n" + indent + row for row in rows)
+            fh.write(parts[k + 1])
         fh.write("\n")
 
 

@@ -1,8 +1,10 @@
 """End-to-end command-line checks through real subprocesses."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -174,3 +176,55 @@ def test_pldc_convert_produces_a_working_model(tmp_path):
     bad.write_text("{\"plus_terms\": []}")
     r = run_cli("pldc-convert", "--spec", bad, "--out", out)
     assert r.returncode == 1
+
+
+# sha256 of the data CSV and the --truth JSON that `calr gen` writes; they
+# pin the generator's random stream and the CSV and JSON text.
+GOLDEN_GEN = {
+    (40, 1, 0, "0.0", 3): (
+        "8cb31f9bb41bbb822c3aee6eb61b5ad3d3c33fa27968bfa3ca989f69302cbd42",
+        "35b9b8d74fc3bde50db456a3e88c0d76dbb7ba8905f660094709a368755f1734",
+    ),
+    (3000, 3, 4, "0.05", 11): (
+        "78d1374d5e563177f0a319e739a8052c1ec4f5d60d113b82379d17d93f7348d3",
+        "7c9609d5ef52f3644d119c24aefb62c9802d27c6b5c9e88cbf72dc5804a3b455",
+    ),
+    (100_000, 2, 2, "0.01", 5): (
+        "ef9e0790faa9d7d1edfe4cb4c5f8f41e0d9f06ecfb594f1612f9b8d36f5f56aa",
+        "caa32799bfbad73324ab054d926553382e0dbf90315e88dc0973fd483e621f4a",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_GEN))
+def test_generated_files_match_their_golden_hashes(tmp_path, shape):
+    n, d, m, sigma, seed = shape
+    data, truth = tmp_path / "data.csv", tmp_path / "truth.json"
+    r = run_cli("gen", "--n", n, "--d", d, "--m", m, "--sigma", sigma,
+                "--seed", seed, "--out", data, "--truth", truth)
+    assert r.returncode == 0, r.stderr
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (data, truth))
+    assert got == GOLDEN_GEN[shape]
+
+
+def test_only_fitting_loads_scipy(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import calr
+        from calr import cli
+
+        def run(*argv):
+            assert cli.main([str(a) for a in argv]) == 0, argv
+
+        run("gen", "--n", 200, "--d", 2, "--m", 1, "--sigma", 0.01, "--seed", 1,
+            "--out", "data.csv", "--truth", "truth.json")
+        calr.save_model(calr.load_truth("truth.json").model, "model.json")
+        run("predict", "--model", "model.json", "--data", "data.csv", "--out", "pred.csv")
+        run("eval", "--model", "model.json", "--data", "data.csv")
+        run("export-mip", "--data", "data.csv", "--m", 1, "--k", 4, "--out", "program.json")
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)[:5]
+        run("fit", "--data", "data.csv", "--m", 1, "--seed", 2, "--out", "fitted.json")
+    """)
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr

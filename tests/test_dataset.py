@@ -1,9 +1,15 @@
 """Dataset containers, CSV round-trips, and the planted-data generator."""
 
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from calr import dataset
 from calr.calf import overlapping_training_points
 from calr.dataset import Dataset, generate_separable, load_csv, load_matrix, write_csv
 from calr.exceptions import (
@@ -82,6 +88,102 @@ def test_csv_format_errors(tmp_path):
     assert exc.value.row == 3 and exc.value.column == 2
     with pytest.raises(InputError):
         load_matrix(tmp_path / "missing.csv")
+
+
+def reference_load_matrix(path):
+    """load_matrix as it was before its numpy path: one float() per cell."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    if not rows:
+        raise CsvFormatError("empty file")
+    header = [c.strip() for c in rows[0]]
+    body = rows[1:]
+    if not body:
+        raise CsvFormatError("no data rows after the header")
+    values = np.empty((len(body), len(header)), dtype=float)
+    for i, row in enumerate(body):
+        if len(row) != len(header):
+            raise CsvFormatError(f"expected {len(header)} cells, found {len(row)}", row=i + 2)
+        for j, cell in enumerate(row):
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                raise CsvFormatError(
+                    f"non-numeric cell {cell.strip()!r}", row=i + 2, column=j + 1
+                ) from None
+    return tuple(header), values
+
+
+CELL_FORMATS = {
+    "repr": repr,
+    "g6": lambda v: "%.6g" % v,
+    "padded": lambda v: f" \t{v!r}  ",
+}
+# Each defect rewrites one cell (or one row's cell count) of a clean file.
+DEFECTS = {
+    "cell_count": lambda cells, j: cells[:-1] if len(cells) > 1 else cells + ["1.0"],
+    "word": lambda cells, j: cells[:j] + ["oops"] + cells[j + 1 :],
+    "hash": lambda cells, j: ["#" + cells[0]] + cells[1:],
+    "quoted": lambda cells, j: cells[:j] + [f'"{cells[j]}"'] + cells[j + 1 :],
+    "underscore": lambda cells, j: cells[:j] + ["1_000"] + cells[j + 1 :],
+}
+
+
+@st.composite
+def csv_files(draw):
+    """(text, defect or None, whether every blank line is empty)."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    lines = [",".join(f" col{j} " for j in range(k))]
+    for _ in range(n):
+        cells = []
+        for _ in range(k):
+            v = draw(st.floats(allow_nan=False, allow_infinity=False))
+            cells.append(CELL_FORMATS[draw(st.sampled_from(sorted(CELL_FORMATS)))](v))
+        lines.append(cells)
+    defect = draw(st.sampled_from([None, "header_cell"] + sorted(DEFECTS)))
+    if defect == "header_cell":  # every data row one cell short
+        lines[0] += ",extra"
+    elif defect is not None:
+        i = draw(st.integers(1, n))
+        lines[i] = DEFECTS[defect](lines[i], draw(st.integers(0, k - 1)))
+    lines = [line if isinstance(line, str) else ",".join(line) for line in lines]
+    blanks = draw(st.lists(st.tuples(st.integers(0, n + 1), st.sampled_from(["", "", "  ", " , "]))))
+    for at, blank in blanks:
+        lines.insert(at, blank)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline, defect, all(b == "" for _, b in blanks)
+
+
+def outcome(read, path):
+    try:
+        header, values = read(path)
+    except CsvFormatError as exc:
+        return "error", str(exc), exc.row, exc.column
+    return "ok", header, values.shape, values.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_files())
+def test_numpy_reader_matches_the_cell_by_cell_reference(tmp_path_factory, case):
+    text, defect, empty_blanks = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(dataset, "_parse_cells", wraps=dataset._parse_cells) as cells:
+        got = outcome(load_matrix, path)
+    assert got == outcome(reference_load_matrix, path)
+    if defect is None and empty_blanks:
+        assert cells.call_count == 0  # clean files take the numpy path
+
+
+def test_numpy_only_separators_take_the_cell_by_cell_path(tmp_path):
+    # numpy would strip \x1c..\x1f around a number; float() refuses them.
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n1,\x1c2\n")
+    with pytest.raises(CsvFormatError) as exc:
+        load_matrix(path)
+    assert (exc.value.row, exc.value.column) == (2, 2)
 
 
 def test_generator_is_deterministic():

@@ -8,7 +8,14 @@ from numpy.testing import assert_allclose
 
 from calr.dataset import Dataset, generate_separable
 from calr.exceptions import InputError, SchemaError
-from calr.mip import MipInstance, build_mip, default_tau, export_mip, load_mip
+from calr.mip import (
+    MipInstance,
+    build_mip,
+    default_tau,
+    export_mip,
+    instance_to_doc,
+    load_mip,
+)
 
 
 def tiny_instance(n=10, d=2, M=2, K=3, seed=0):
@@ -112,6 +119,31 @@ def test_export_round_trip_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     back = load_mip(p1)
     assert back == instance
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("M, K", [(1, 1), (2, 3), (3, 1)])
+def test_export_is_byte_identical_to_the_json_dump_of_the_document(tmp_path, n, d, M, K):
+    rng = np.random.default_rng(n * 100 + d * 10 + M + K)
+    special = [-0.0, 0.0, 1e-300, -1e300, 1e300, 5e-324, 3.0, -17.0, 2.0**60]
+    X = rng.choice(special, size=(n, d)) if n else np.zeros((0, d))
+    if n > 1:
+        X[1] = rng.normal(size=d) * 1e5
+    y = rng.choice(special + [0.1, float(np.pi)], size=n)
+    instance = MipInstance(n=n, d=d, M=M, K=K, tau=-1e-6 * (1 + n), X=X, y=y)
+    path = tmp_path / "program.json"
+    export_mip(instance, path)
+    want = json.dumps(instance_to_doc(instance), sort_keys=True, indent=2) + "\n"
+    assert path.read_text() == want
+
+
+def test_export_writes_non_finite_reals_as_json_does(tmp_path):
+    X = np.array([[np.inf, -np.inf], [np.nan, 1.0]])
+    instance = MipInstance(n=2, d=2, M=1, K=2, tau=-np.inf, X=X, y=np.array([np.nan, -np.inf]))
+    path = tmp_path / "program.json"
+    export_mip(instance, path)
+    assert path.read_text() == json.dumps(instance_to_doc(instance), sort_keys=True, indent=2) + "\n"
 
 
 def test_load_rejects_corrupt_documents(tmp_path):

@@ -100,6 +100,8 @@ def load_matrix(path):
             body = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise CsvFormatError(str(exc), row=1) from None
     if header is None:
         raise CsvFormatError("empty file")
     header = tuple(c.strip() for c in header)
@@ -117,7 +119,11 @@ def load_matrix(path):
 
 def _parse_cells(header, rows) -> np.ndarray:
     """The body of a CSV, one float() per cell, with the row and column of a bad cell."""
-    body = [r for r in rows if _nonblank(r)]
+    body = []
+    try:
+        body.extend(r for r in rows if _nonblank(r))
+    except csv.Error as exc:
+        raise CsvFormatError(str(exc), row=len(body) + 2) from None
     if not body:
         raise CsvFormatError("no data rows after the header")
     values = np.empty((len(body), len(header)), dtype=float)

@@ -2,7 +2,8 @@
 
 Three solution paths live here:
 
-* naive_calr: exact single-piece solver by subset enumeration (small n);
+* naive_calr: exact single-piece solver by subset enumeration (small n):
+  batched SSEs, _ols only in the tie window;
 * cas_calr: the sampling solver — draw d+1 points, gate on y not flat on
   them (the F-test on d+1 points), an empty sample simplex and
   coefficient distance, shrink the residual set, then build piece areas
@@ -20,9 +21,10 @@ the config, so fits are deterministic per (data, config).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -126,15 +128,16 @@ def _refit_within(X, y, f, eps, rounds=_CONSENSUS_ROUNDS):
     return f
 
 
-def _interpolant(S, ys, Q=None):
+def _interpolant(S, ys, rest=None, own=None):
     """_ols's fit of d+1 sample rows (S, ys), or None if a sampling gate rejects it.
 
     One SVD of A = [1 | S] settles the gates: full rank (matrix_rank's
     tolerance); y fitted exactly and not flat, to which the F-test on d+1
-    points reduces (_f_pvalue is 0 then, else 1); and, given rest rows Q,
-    no q whose barycentric coordinates A^-T [1 | q] are all >= -1e-6, which
-    for affinely independent S is exact separability from Q and also
-    skips rows barely outside, costly to separate.
+    points reduces (_f_pvalue is 0 then, else 1); and, given rest = [1 | Q],
+    no row q of Q outside the sample's own rows own whose barycentric
+    coordinates A^-T [1 | q] are all >= -1e-6, which for affinely
+    independent S is exact separability from Q and also skips rows barely
+    outside, costly to separate.
     """
     k = len(S)
     A = np.column_stack([np.ones(k), S])
@@ -148,9 +151,12 @@ def _interpolant(S, ys, Q=None):
     ssr = float(np.sum((fitted - float(np.mean(ys))) ** 2))
     if _f_pvalue(ssr, sse, k, k - 1, y_scale=float(ys @ ys)) != 0.0:
         return None
-    if Q is not None:
-        lam = U @ ((Vt @ np.column_stack([np.ones(len(Q)), Q]).T) / s[:, None])
-        if np.any(np.min(lam, axis=0) >= -1e-6):
+    if rest is not None:
+        lam = U @ ((Vt @ rest.T) / s[:, None])
+        inside = np.min(lam, axis=0) >= -1e-6
+        if own is not None:
+            inside[own] = False
+        if np.any(inside):
             return None
     return LinearModel(coeffs=beta, mse=sse / k, p_value=0.0, n_fit=k)
 
@@ -179,10 +185,11 @@ class _Sampler:
     def exhausted(self) -> bool:
         return self.draws >= self.budget
 
-    def draw(self, X, y, isolated=False):
+    def draw(self, X, y, rest=None):
         """One draw of d+1 rows of (X, y): (model, fit mask) or None if a gate rejects it.
 
-        Gates: those of _interpolant (rest rows only with isolated), then
+        Gates: those of _interpolant (the simplex test only given
+        rest = [1 | X], against every row but the sample's own), then
         the refined candidate must fit enough rows.  A few rounds of
         refitting on the rows within eps snap a sample drawn inside one
         piece onto that piece; the support stays near d+1 for a plane
@@ -192,7 +199,7 @@ class _Sampler:
         self.draws += 1
         d = X.shape[1]
         sample = self.rng.choice(len(X), size=d + 1, replace=False)
-        f = _interpolant(X[sample], y[sample], np.delete(X, sample, axis=0) if isolated else None)
+        f = _interpolant(X[sample], y[sample], rest, sample)
         if f is None:
             return None
         f = _refit_within(X, y, f, self.eps)
@@ -200,25 +207,6 @@ class _Sampler:
         if int(fits.sum()) < max(d + 2, len(X) // (_SUPPORT_SHARE * (self.m + 1))):
             return None
         return f, fits
-
-
-def distinct(F, data: Dataset, epsilon: float) -> Dataset:
-    """Points fitted by exactly one model of F (residual < epsilon once).
-
-    Each model marks its fitting points; a first fit marks a point 1, a
-    second fit marks it -1 for good, and only points still marked 1
-    survive — so duplicates in F erase their shared points.
-    """
-    if len(F) == 0:
-        raise InputError("need at least one model")
-    marks = np.zeros(data.n, dtype=int)
-    for f in F:
-        fit = np.abs(data.y - f.predict_batch(data.X)) < epsilon
-        newly = fit & (marks == 0)
-        again = fit & (marks == 1)
-        marks[again] = -1
-        marks[newly] = 1
-    return data.subset(np.flatnonzero(marks == 1))
 
 
 def post(H_partial, leftovers: Dataset, epsilon: float, exclude=None, separate=cac):
@@ -379,8 +367,9 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
     while model is None:
         # The residual rows change only on an acceptance; draws share them.
         X_rest, y_rest = X[remaining], y[remaining]
+        A_rest = np.column_stack([np.ones(len(remaining)), X_rest])
         while len(accepted) < target and not sampler.exhausted and len(remaining) > d:
-            drawn = sampler.draw(X_rest, y_rest, isolated=True)
+            drawn = sampler.draw(X_rest, y_rest, A_rest)
             if drawn is None:
                 continue
             f, fits = drawn
@@ -389,6 +378,7 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
             accepted.append(f)
             remaining = remaining[~fits]
             X_rest, y_rest = X[remaining], y[remaining]
+            A_rest = np.column_stack([np.ones(len(remaining)), X_rest])
         if len(accepted) > len(best_partial):
             best_partial = list(accepted)
         if len(accepted) == target:
@@ -483,14 +473,32 @@ def cas2(data: Dataset, config: FitConfig) -> CalfModel:
     )
 
 
+def _stacked_sse(A, Y):
+    """Least-squares SSE of each stacked system A[c] b ~ Y[c], from one SVD.
+
+    Singular values at or below RCOND times the largest are dropped, as
+    _ols's lstsq drops them; the residual is y minus its projection on the
+    kept left singular vectors.
+    """
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    keep = s > RCOND * s[:, :1]
+    r = Y - np.einsum("cki,ci->ck", U, np.einsum("cki,ck->ci", U, Y) * keep)
+    return np.einsum("ck,ck->c", r, r)
+
+
 def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     """Exact one-piece solver by exhaustive subset enumeration.
 
     Tries every subset D of size d+1 .. n-d-1 as the piece's point set,
     keeps those whose convex area excludes everything else, and returns
-    the area-plus-complement model with the smallest total squared error;
-    falls back to the single global fit when it ties or nothing separates.
-    The exponential loop refuses to run past the cap unless raised.
+    the area-plus-complement model with the smallest total squared error
+    (_ols's, ties to the earlier subset in combinations order); falls
+    back to the single global fit when it ties or nothing separates.
+    Batched SSEs, _ols only in the tie window: one stacked SVD per subset
+    size and side scores every candidate, and only candidates whose
+    batched SSE lies within a rounding window of the walk's front get
+    fitted by _ols, which settles their order.  The exponential loop
+    refuses to run past the cap unless raised.
     """
     n, d = data.n, data.d
     if n > cap:
@@ -501,27 +509,51 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     X, y = data.X, data.y
     global_fit = lr(data)
     global_sse = global_fit.mse * n
-    candidates = []
-    for size in range(d + 1, n - d):
-        for subset in combinations(range(n), size):
-            idx = np.array(subset)
-            mask = np.zeros(n, dtype=bool)
-            mask[idx] = True
-            f_in = _ols(X[idx], y[idx])
-            f_out = _ols(X[~mask], y[~mask])
-            sse = f_in.mse * len(idx) + f_out.mse * (n - len(idx))
-            candidates.append((sse, mask, f_in, f_out))
-    candidates.sort(key=lambda c: c[0])
     # Ties are judged at rounding-noise resolution so an exactly-linear
     # dataset does not hand the win to an arbitrary subset split.
     tie_tol = 1e-12 * float(np.sum((y - y.mean()) ** 2))
-    for sse, mask, f_in, f_out in candidates:
-        if sse >= global_sse - tie_tol:
-            break  # remaining candidates cannot beat the zero-piece model
-        area = cac(X, mask)
-        if area is None:
+    stop = global_sse - tie_tol
+    sizes = range(d + 1, n - d)
+    if not sizes:
+        return _global_model(data)
+    A = np.column_stack([np.ones(n), X])
+    masks, batched = [], []
+    for k in sizes:
+        # Every k-subset's rows and complement, in combinations order.
+        inside = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.intp)
+        inside = inside.reshape(-1, k)
+        mk = np.zeros((len(inside), n), dtype=bool)
+        mk[np.arange(len(inside))[:, None], inside] = True
+        outside = np.nonzero(~mk)[1].reshape(-1, n - k)
+        masks.append(mk)
+        batched.append(_stacked_sse(A[inside], y[inside]) + _stacked_sse(A[outside], y[outside]))
+    masks = np.concatenate(masks)
+    batched = np.concatenate(batched)
+    order = np.argsort(batched, kind="stable")
+    # Batched and _ols SSEs differ by rounding (under 1e-14 measured); an
+    # unfitted candidate's _ols SSE is at least its batched SSE minus this.
+    window = 1e-9 * (1.0 + float(y @ y))
+    fitted = []  # heap of (_ols SSE, enumeration index, f_in, f_out)
+    pos = 0
+    while True:
+        # Lower bound on the _ols SSE of every candidate not fitted yet.
+        floor = max(float(batched[order[pos]]) - window, 0.0) if pos < len(order) else math.inf
+        if fitted and fitted[0][0] < floor:
+            # The head comes first in (_ols SSE, index) order among all candidates.
+            sse, i, f_in, f_out = heapq.heappop(fitted)
+            if sse >= stop:
+                break  # remaining candidates cannot beat the zero-piece model
+            area = cac(X, masks[i])
+            if area is not None and int(area.contains_batch(X).sum()) == int(masks[i].sum()):
+                return CalfModel(default=f_out, pieces=((f_in, area),))
             continue
-        if int(area.contains_batch(X).sum()) != int(mask.sum()):
-            continue
-        return CalfModel(default=f_out, pieces=((f_in, area),))
+        if floor >= stop:
+            break
+        i = int(order[pos])
+        pos += 1
+        mask = masks[i]
+        k = int(mask.sum())
+        f_in = _ols(X[mask], y[mask])
+        f_out = _ols(X[~mask], y[~mask])
+        heapq.heappush(fitted, (f_in.mse * k + f_out.mse * (n - k), i, f_in, f_out))
     return _global_model(data)

@@ -105,6 +105,19 @@ def test_bad_inputs_exit_1(tmp_path):
     assert r.returncode == 1
 
 
+def test_eval_reports_an_oversized_csv_cell_as_an_error(tmp_path):
+    data_path = tmp_path / "plateau.csv"
+    plateau_csv(data_path)
+    model_path = tmp_path / "model.json"
+    assert run_cli("naive-fit", "--data", data_path, "--out", model_path).returncode == 0
+    huge = tmp_path / "huge.csv"
+    huge.write_text("x1,y\n0.0,\"" + "1" * 200_000 + "\"\n")
+    r = run_cli("eval", "--model", model_path, "--data", huge)
+    assert r.returncode == 1
+    assert "error:" in r.stderr and "field larger than field limit" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_naive_fit_recovers_the_plateau(tmp_path):
     data_path = tmp_path / "plateau.csv"
     plateau_csv(data_path)

@@ -90,6 +90,22 @@ def test_csv_format_errors(tmp_path):
         load_matrix(tmp_path / "missing.csv")
 
 
+def test_oversized_quoted_cells_raise_csv_format_errors(tmp_path):
+    # csv's field limit is 131,072 characters; past it the reader raises
+    # csv.Error, in the header read and in the cell-by-cell body parse.
+    huge = '"' + "1" * 200_000 + '"'
+    in_body = tmp_path / "body.csv"
+    in_body.write_text("x,y\n1,2\n\n3," + huge + "\n")
+    with pytest.raises(CsvFormatError, match="field larger than field limit") as exc:
+        load_matrix(in_body)
+    assert exc.value.row == 3
+    in_header = tmp_path / "header.csv"
+    in_header.write_text("x," + huge + "\n1,2\n")
+    with pytest.raises(CsvFormatError, match="field larger than field limit") as exc:
+        load_matrix(in_header)
+    assert exc.value.row == 1
+
+
 def reference_load_matrix(path):
     """load_matrix as it was before its numpy path: one float() per cell."""
     with open(path, newline="") as fh:

@@ -1,6 +1,8 @@
 """The exact, sampling, and two-function solvers plus their helpers."""
 
-from itertools import permutations
+import json
+from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from calr.calf import CalfModel, overlapping_training_points, predict
 from calr.dataset import Dataset, generate_separable
-from calr import geometry
+from calr import fitting, geometry
 from calr.exceptions import (
     BudgetExhaustedError,
     ConvergenceError,
@@ -24,12 +26,12 @@ from calr.fitting import (
     cas2,
     cas_calr,
     default_budget,
-    distinct,
     naive_calr,
     post,
 )
 from calr.geometry import cac
 from calr.linreg import LinearModel, _ols, coefficient_distance, lr, mse
+from calr.model_io import model_to_doc
 
 
 def best_matching_distance(truth, model):
@@ -64,21 +66,6 @@ def test_fit_config_validation():
     ):
         with pytest.raises(InputError):
             FitConfig(**bad)
-
-
-def test_distinct_keeps_singly_fitted_points():
-    X = np.array([[0.0], [1.0], [3.0]])
-    y = np.array([0.0, 1.0, 3.0])
-    data = Dataset(X=X, y=y)
-    line = LinearModel(coeffs=np.array([0.0, 1.0]))  # fits all three
-    flat = LinearModel(coeffs=np.array([3.0, 0.0]))  # fits only x=3
-    out = distinct([line, flat], data, epsilon=0.1)
-    assert out.n == 2
-    assert sorted(out.X[:, 0].tolist()) == [0.0, 1.0]
-    # A duplicated model erases every point it fits.
-    assert distinct([line, line], data, epsilon=0.1).n == 0
-    with pytest.raises(InputError):
-        distinct([], data, epsilon=0.1)
 
 
 def test_post_carves_overlap_strips():
@@ -140,6 +127,118 @@ def test_naive_solver_enforces_its_cap():
     with pytest.raises(InputError):
         naive_calr(data, cap=10)
     naive_calr(data, cap=12)  # explicit raise runs the enumeration
+
+
+def _reference_naive_calr(data):
+    """naive_calr as one _ols pair per subset, all candidates sorted by SSE."""
+    n, d = data.n, data.d
+    X, y = data.X, data.y
+    global_fit = lr(data)
+    global_sse = global_fit.mse * n
+    candidates = []
+    for size in range(d + 1, n - d):
+        for subset in combinations(range(n), size):
+            idx = np.array(subset)
+            mask = np.zeros(n, dtype=bool)
+            mask[idx] = True
+            f_in = _ols(X[idx], y[idx])
+            f_out = _ols(X[~mask], y[~mask])
+            sse = f_in.mse * len(idx) + f_out.mse * (n - len(idx))
+            candidates.append((sse, mask, f_in, f_out))
+    candidates.sort(key=lambda c: c[0])
+    tie_tol = 1e-12 * float(np.sum((y - y.mean()) ** 2))
+    for sse, mask, f_in, f_out in candidates:
+        if sse >= global_sse - tie_tol:
+            break
+        area = cac(X, mask)
+        if area is None:
+            continue
+        if int(area.contains_batch(X).sum()) != int(mask.sum()):
+            continue
+        return CalfModel(default=f_out, pieces=((f_in, area),))
+    return CalfModel(default=global_fit, pieces=())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.data())
+def test_batched_naive_solver_matches_the_per_subset_loop(draw):
+    # Grid values and halves mirrored in x1 make equal SSEs common, on the
+    # same rows or on mirrored ones, where rounding alone orders them.
+    # Constant and collinear columns make every subset rank-deficient, so
+    # the RCOND cutoff decides the SSEs; a nearly collinear one keeps
+    # singular values a little above it.
+    d = draw.draw(st.sampled_from([1, 2]), label="d")
+    n = draw.draw(st.integers(d + 2, 9 if d == 1 else 8), label="n")
+    coord = draw.draw(
+        st.sampled_from([st.floats(-5.0, 5.0), st.integers(-3, 3).map(float)]), label="grid"
+    )
+    X = draw.draw(arrays(float, (n, d), elements=coord), label="X")
+    half = n // 2
+    mirrored = draw.draw(st.booleans(), label="mirrored")
+    if mirrored:
+        X[half : 2 * half] = X[:half]
+        X[half : 2 * half, 0] *= -1.0
+    shape = draw.draw(
+        st.sampled_from(
+            ["free", "duplicate rows", "constant column", "collinear", "nearly collinear"]
+        ),
+        label="shape",
+    )
+    if shape == "duplicate rows":
+        X[half:] = X[: n - half]
+    elif shape == "constant column":
+        X[:, -1] = 1.5
+    elif shape == "collinear":
+        X[:, -1] = 2.0 * X[:, 0] - 1.0
+    elif shape == "nearly collinear":
+        X[:, -1] = 2.0 * X[:, 0] - 1.0 + 1e-7 * np.arange(n) ** 2
+    y_kind = draw.draw(st.sampled_from(["random", "step", "linear"]), label="y")
+    if y_kind == "random":
+        y = draw.draw(arrays(float, n, elements=coord), label="y values")
+    else:
+        beta = draw.draw(arrays(float, d + 1, elements=st.integers(-3, 3).map(float)), label="beta")
+        y = beta[0] + X @ beta[1:]
+        if y_kind == "step":
+            cut = draw.draw(st.floats(-3.0, 3.0), label="cut")
+            y = y + 2.0 * (X[:, 0] > cut)
+    if mirrored:
+        y[half : 2 * half] = y[:half]
+    data = Dataset(X=X, y=y)
+    want = json.dumps(model_to_doc(_reference_naive_calr(data)), sort_keys=True)
+    got = json.dumps(model_to_doc(naive_calr(data)), sort_keys=True)
+    assert got == want
+
+
+def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
+    rng = np.random.default_rng(7)
+    n = 12
+    X = rng.uniform(-4.0, 4.0, size=(n, 1))
+    y = 0.5 * X[:, 0] + rng.normal(0.0, 0.3, size=n)
+    y[X[:, 0] > 0.5] += 2.0
+    ols_rows = []
+    svd_shapes = []
+    real_ols, real_svd = fitting._ols, np.linalg.svd
+
+    def ols_spy(X, y):
+        ols_rows.append(len(X))
+        return real_ols(X, y)
+
+    def svd_spy(A, *args, **kwargs):
+        svd_shapes.append(A.shape)
+        return real_svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_ols", ols_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    model = naive_calr(Dataset(X=X, y=y))
+    assert model.m == 1
+    # A per-subset loop fits both sides of every subset: 8,140 calls here.
+    assert 0 < len(ols_rows) < 100
+    # One stacked SVD per subset size and side, over all C(n, k) subsets.
+    assert svd_shapes == [
+        shape
+        for k in range(2, n - 1)
+        for shape in ((comb(n, k), k, 2), (comb(n, k), n - k, 2))
+    ]
 
 
 def test_sampling_solver_m0_is_the_global_fit():
@@ -284,6 +383,11 @@ def test_sampling_solver_keeps_piece_areas_apart_on_unfitted_points():
     assert mse(model, data) <= 4 * sigma**2
 
 
+def _ones_column(Q):
+    """[1 | Q], the rest rows as _interpolant takes them."""
+    return np.column_stack([np.ones(len(Q)), Q])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_empty_sample_simplex_is_separable_from_the_rest(draw):
@@ -299,7 +403,7 @@ def test_empty_sample_simplex_is_separable_from_the_rest(draw):
     k = draw.draw(st.integers(0, 10), label="rest size")
     lam = draw.draw(arrays(float, (k, d), elements=st.floats(-2.0, 2.0)), label="weights")
     Q = np.column_stack([lam, 1.0 - lam.sum(axis=1)]) @ S
-    assume(_interpolant(S, np.arange(d + 1.0), Q) is not None)
+    assume(_interpolant(S, np.arange(d + 1.0), _ones_column(Q)) is not None)
     points = np.vstack([S, Q])
     inside = np.arange(len(points)) < d + 1
     area = cac(points, inside)
@@ -421,7 +525,7 @@ def test_one_svd_gate_matches_the_three_step_gate(draw):
         # keep the verdict clear of that.
         margin = 1e-15 * cond * (1.0 + np.max(np.abs(lam)))
         assume(np.all(np.abs(np.min(lam, axis=0) + 1e-6) > margin))
-    got = _interpolant(S, ys, Q)
+    got = _interpolant(S, ys, _ones_column(Q))
     assert (got is None) == (want is None)
     if got is not None:
         P = np.vstack([S, Q])

@@ -38,7 +38,6 @@ from .linreg import (
     f_test_pvalue,
     lr,
     mse,
-    predict_linear,
     regularized_incomplete_beta,
 )
 from .mip import MipInstance, build_mip, default_tau, export_mip, load_mip
@@ -91,7 +90,6 @@ __all__ = [
     "point_in_hull",
     "post",
     "predict",
-    "predict_linear",
     "regularized_incomplete_beta",
     "save_model",
     "save_truth",

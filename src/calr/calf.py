@@ -61,11 +61,6 @@ class CalfModel:
         """Index of the lowest piece containing x; 0 for the default region."""
         return int(self.assign_batch(self._row(x))[0])
 
-    def covering_pieces(self, x) -> list:
-        """All piece indices (1-based) whose areas contain x."""
-        X = self._row(x)
-        return [i + 1 for i, (_, area) in enumerate(self.pieces) if area.contains_batch(X)[0]]
-
     def predict(self, x) -> float:
         return float(self.predict_batch(self._row(x))[0])
 

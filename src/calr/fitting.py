@@ -3,17 +3,21 @@
 Three solution paths live here:
 
 * naive_calr: exact single-piece solver by subset enumeration (small n):
-  batched SSEs, _ols only in the tie window;
-* cas_calr: the sampling solver — draw d+1 points, gate on y not flat on
-  them (the F-test on d+1 points), an empty sample simplex and
-  coefficient distance, shrink the residual set, then build piece areas
-  and hand overlap strips to post;
+  batched SSE lower bounds, _ols only in the tie window;
+* cas_calr: the sampling solver — draw d+1 points near a random anchor,
+  gate on y not flat on them (the F-test on d+1 points), an empty sample
+  simplex and coefficient distance, shrink the residual set, then build
+  piece areas and hand overlap strips to post;
 * cas2: a two-function variant that settles piece-vs-default by which of
   the two fitting sets is separable.
 
-Both sampling solvers share one _Sampler: its setup and its draw gates,
-all settled by one SVD of the sample.  The barycentric simplex test
-decides separability exactly, so cas_calr's sampling needs no separator.
+Both sampling solvers share one _Sampler: its setup, its local proposals
+(an anchor row and d of its nearest neighbours, NAPSAC-style) and its
+draw gates, all settled by one SVD of the sample.  The barycentric
+simplex test decides separability exactly, so cas_calr's sampling needs
+no separator.  A candidate is refitted on its within-eps rows until that
+row set stops changing, and so is every accepted model at assembly, on
+the rows it alone fits.
 
 All randomness goes through numpy's default PCG64 generator seeded from
 the config, so fits are deterministic per (data, config).
@@ -41,8 +45,10 @@ from .linreg import RCOND, LinearModel, _f_pvalue, _ols, coefficient_distance, l
 
 _EPS_MULTIPLIER = 4.0
 _EPS_FLOOR_SCALE = 1e-9
-_CONSENSUS_ROUNDS = 4
+_REFIT_CAP = 20
 _SUPPORT_SHARE = 4
+_NEIGHBOURS_PER_POINT = 3
+_ROUNDING_SLACK = 1e-12
 NAIVE_CAP_DEFAULT = 16
 
 
@@ -88,6 +94,12 @@ def _epsilon_floor(y: np.ndarray) -> float:
     return _EPS_FLOOR_SCALE * (1.0 + peak)
 
 
+def _nearest(X, x, k):
+    """Indices of the k rows of X nearest to x by squared Euclidean distance."""
+    dist2 = np.sum((X - x) ** 2, axis=1)
+    return np.argpartition(dist2, k - 1)[:k] if k < len(X) else np.arange(len(X))
+
+
 def _local_scale(X, y, rng, anchors: int = 25) -> float:
     """Noise-scale estimate from small nearest-neighbor fits.
 
@@ -103,8 +115,7 @@ def _local_scale(X, y, rng, anchors: int = 25) -> float:
     idx = rng.choice(n, size=min(n, anchors), replace=False)
     scales = []
     for i in idx:
-        dist2 = np.sum((X - X[i]) ** 2, axis=1)
-        nb = np.argpartition(dist2, k - 1)[:k] if k < n else np.arange(n)
+        nb = _nearest(X, X[i], k)
         f = _ols(X[nb], y[nb])
         r = y[nb] - f.predict_batch(X[nb])
         scales.append(math.sqrt(float(r @ r) / (k - d - 1)))
@@ -116,16 +127,23 @@ def _auto_epsilon(X, y, rng) -> float:
     return max(_EPS_MULTIPLIER * _local_scale(X, y, rng), _epsilon_floor(y))
 
 
-def _refit_within(X, y, f, eps, rounds=_CONSENSUS_ROUNDS):
-    """Refit on all points with residual < eps, a fixed number of rounds."""
+def _refit_within(X, y, f, eps):
+    """Refit on the rows with residual < eps until that row set stops changing.
+
+    Returns the last model and its within-eps mask.  Unless the set falls
+    below d+2 rows or _REFIT_CAP refits run out (a cycling set), the
+    model is the fit of exactly its own within-eps rows.
+    """
     d = X.shape[1]
-    for _ in range(rounds):
-        r = np.abs(y - f.predict_batch(X))
-        sel = r < eps
-        if int(sel.sum()) < d + 2:
+    fits = np.abs(y - f.predict_batch(X)) < eps
+    for _ in range(_REFIT_CAP):
+        if int(fits.sum()) < d + 2:
             break
-        f = _ols(X[sel], y[sel])
-    return f
+        f = _ols(X[fits], y[fits])
+        fits, before = np.abs(y - f.predict_batch(X)) < eps, fits
+        if np.array_equal(fits, before):
+            break
+    return f, fits
 
 
 def _interpolant(S, ys, rest=None, own=None):
@@ -188,23 +206,30 @@ class _Sampler:
     def draw(self, X, y, rest=None):
         """One draw of d+1 rows of (X, y): (model, fit mask) or None if a gate rejects it.
 
-        Gates: those of _interpolant (the simplex test only given
-        rest = [1 | X], against every row but the sample's own), then
-        the refined candidate must fit enough rows.  A few rounds of
-        refitting on the rows within eps snap a sample drawn inside one
-        piece onto that piece; the support stays near d+1 for a plane
-        cutting across pieces, because a slab of width 2 eps around a
-        wrong plane holds almost nothing.
+        The sample is local: one anchor row drawn uniformly, plus d rows
+        drawn from the anchor's k = 3(d+1) nearest other rows.  Close rows
+        mostly lie in one piece and span a simplex holding no other row,
+        so the acceptance rate does not fall as n grows (NAPSAC-style
+        proposals).  Gates: those of _interpolant (the simplex test only
+        given rest = [1 | X], against every row but the sample's own),
+        then the refined candidate must fit enough rows.  Refitting on the
+        rows within eps until they stop changing snaps a sample drawn
+        inside one piece onto that piece; the support stays near d+1 for
+        a plane cutting across pieces, because a slab of width 2 eps
+        around a wrong plane holds almost nothing.
         """
         self.draws += 1
-        d = X.shape[1]
-        sample = self.rng.choice(len(X), size=d + 1, replace=False)
+        n, d = X.shape
+        anchor = int(self.rng.integers(n))
+        k = min(_NEIGHBOURS_PER_POINT * (d + 1), n - 1)
+        near = _nearest(X, X[anchor], k + 1)
+        near = near[near != anchor][:k]
+        sample = np.concatenate([[anchor], self.rng.choice(near, size=d, replace=False)])
         f = _interpolant(X[sample], y[sample], rest, sample)
         if f is None:
             return None
-        f = _refit_within(X, y, f, self.eps)
-        fits = np.abs(y - f.predict_batch(X)) < self.eps
-        if int(fits.sum()) < max(d + 2, len(X) // (_SUPPORT_SHARE * (self.m + 1))):
+        f, fits = _refit_within(X, y, f, self.eps)
+        if int(fits.sum()) < max(d + 2, n // (_SUPPORT_SHARE * (self.m + 1))):
             return None
         return f, fits
 
@@ -269,17 +294,21 @@ def _assemble(data, F, eps, separate):
         raise SeparabilityError(
             f"only {int(unique.sum())} of {n} points fit exactly one model"
         )
-    # Refit every model on the points fitting it alone: where two models
-    # run within eps of each other, one of them was accepted off a refit
-    # that also swallowed a strip of the other's points, and this sheds
-    # that contamination now that both are known.
-    for fi in range(len(F)):
-        own = np.flatnonzero(unique & fits[:, fi])
-        if len(own) >= data.d + 2:
-            F[fi] = _ols(X[own], y[own])
-    fits = np.column_stack([np.abs(y - f.predict_batch(X)) < eps for f in F])
-    counts = fits.sum(axis=1)
-    unique = counts == 1
+    # Refit every model on the points fitting it alone until those point
+    # sets settle.  Where two models run within eps of each other, one was
+    # accepted off a refit that also swallowed a strip of the other's
+    # points; a model grown from a band of its piece plus a few far points
+    # of another region sheds them here and regrows over its whole piece.
+    for _ in range(_REFIT_CAP):
+        for fi in range(len(F)):
+            own = np.flatnonzero(unique & fits[:, fi])
+            if len(own) >= data.d + 2:
+                F[fi] = _ols(X[own], y[own])
+        fits, before = np.column_stack([np.abs(y - f.predict_batch(X)) < eps for f in F]), fits
+        counts = fits.sum(axis=1)
+        unique = counts == 1
+        if np.array_equal(fits, before):
+            break
     uni_idx = np.flatnonzero(unique)
     areas = []
     inseparable = []
@@ -338,7 +367,9 @@ def _assemble(data, F, eps, separate):
 def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
     """Sampling solver: find m piece models plus a default, then carve areas.
 
-    Draws d+1-point subsets of the residual set and accepts a candidate
+    Draws d+1-point subsets of the residual set, each a uniform anchor
+    plus d of its 3(d+1) nearest residual rows, refits the interpolant on
+    its within-eps rows until they stop changing, and accepts a candidate
     that passes the draw gates (full rank; y not flat on the sample, the
     F-test on d+1 points; no other residual point in the sample simplex,
     exactly separability from the rest; enough fitting points) and sits
@@ -473,17 +504,22 @@ def cas2(data: Dataset, config: FitConfig) -> CalfModel:
     )
 
 
-def _stacked_sse(A, Y):
-    """Least-squares SSE of each stacked system A[c] b ~ Y[c], from one SVD.
+def _sse_floor(A, Y):
+    """Lower bound on the SSE that _ols computes for each stacked system A[c] b ~ Y[c].
 
-    Singular values at or below RCOND times the largest are dropped, as
-    _ols's lstsq drops them; the residual is y minus its projection on the
-    kept left singular vectors.
+    One SVD gives each system's least-squares residual: y minus its
+    projection on the left singular vectors whose singular values lie
+    above RCOND times the largest, as _ols's lstsq keeps them.  Rounding
+    moves a least-squares residual by about eps * cond * ||y||, in this
+    computation and in lstsq's, so the residual norm is lowered by a
+    generous multiple of that before it is squared.
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     keep = s > RCOND * s[:, :1]
     r = Y - np.einsum("cki,ci->ck", U, np.einsum("cki,ck->ci", U, Y) * keep)
-    return np.einsum("ck,ck->c", r, r)
+    cond = s[:, 0] / np.min(np.where(keep, s, np.inf), axis=1)
+    slack = _ROUNDING_SLACK * cond * np.linalg.norm(Y, axis=1)
+    return np.maximum(np.linalg.norm(r, axis=1) - slack, 0.0) ** 2
 
 
 def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
@@ -494,10 +530,11 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     the area-plus-complement model with the smallest total squared error
     (_ols's, ties to the earlier subset in combinations order); falls
     back to the single global fit when it ties or nothing separates.
-    Batched SSEs, _ols only in the tie window: one stacked SVD per subset
-    size and side scores every candidate, and only candidates whose
-    batched SSE lies within a rounding window of the walk's front get
-    fitted by _ols, which settles their order.  The exponential loop
+    Batched SSE lower bounds, _ols only in the tie window: one stacked
+    SVD per subset size and side bounds every candidate's _ols SSE from
+    below, allowing for rounding in proportion to the system's condition
+    and ||y||, and only candidates whose bound reaches the walk's front
+    get fitted by _ols, which settles their order.  The exponential loop
     refuses to run past the cap unless raised.
     """
     n, d = data.n, data.d
@@ -517,7 +554,7 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     if not sizes:
         return _global_model(data)
     A = np.column_stack([np.ones(n), X])
-    masks, batched = [], []
+    masks, floors = [], []
     for k in sizes:
         # Every k-subset's rows and complement, in combinations order.
         inside = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.intp)
@@ -526,18 +563,15 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
         mk[np.arange(len(inside))[:, None], inside] = True
         outside = np.nonzero(~mk)[1].reshape(-1, n - k)
         masks.append(mk)
-        batched.append(_stacked_sse(A[inside], y[inside]) + _stacked_sse(A[outside], y[outside]))
+        floors.append(_sse_floor(A[inside], y[inside]) + _sse_floor(A[outside], y[outside]))
     masks = np.concatenate(masks)
-    batched = np.concatenate(batched)
-    order = np.argsort(batched, kind="stable")
-    # Batched and _ols SSEs differ by rounding (under 1e-14 measured); an
-    # unfitted candidate's _ols SSE is at least its batched SSE minus this.
-    window = 1e-9 * (1.0 + float(y @ y))
+    floors = np.concatenate(floors)
+    order = np.argsort(floors, kind="stable")
     fitted = []  # heap of (_ols SSE, enumeration index, f_in, f_out)
     pos = 0
     while True:
         # Lower bound on the _ols SSE of every candidate not fitted yet.
-        floor = max(float(batched[order[pos]]) - window, 0.0) if pos < len(order) else math.inf
+        floor = float(floors[order[pos]]) if pos < len(order) else math.inf
         if fitted and fitted[0][0] < floor:
             # The head comes first in (_ols SSE, index) order among all candidates.
             sse, i, f_in, f_out = heapq.heappop(fitted)

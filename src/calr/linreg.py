@@ -114,11 +114,6 @@ def lr(data: "Dataset") -> LinearModel:
     return _ols(data.X, data.y)
 
 
-def predict_linear(model: LinearModel, x) -> float:
-    """Evaluate an affine model at one point."""
-    return model.predict(x)
-
-
 def mse(model, data: "Dataset") -> float:
     """Mean squared error of any model exposing predict_batch."""
     if data.n < 1:

@@ -3,6 +3,7 @@
 import json
 from itertools import combinations, permutations
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ def _reference_naive_calr(data):
     return CalfModel(default=global_fit, pieces=())
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_batched_naive_solver_matches_the_per_subset_loop(draw):
     # Grid values and halves mirrored in x1 make equal SSEs common, on the
@@ -203,18 +204,46 @@ def test_batched_naive_solver_matches_the_per_subset_loop(draw):
             y = y + 2.0 * (X[:, 0] > cut)
     if mirrored:
         y[half : 2 * half] = y[:half]
+    # A large offset keeps the SSEs and their gaps but scales y.
+    y = y + draw.draw(st.sampled_from([0.0, 1e4, 1e6]), label="y offset")
     data = Dataset(X=X, y=y)
     want = json.dumps(model_to_doc(_reference_naive_calr(data)), sort_keys=True)
     got = json.dumps(model_to_doc(naive_calr(data)), sort_keys=True)
     assert got == want
 
 
-def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_sse_floor_lies_below_the_least_squares_sse(draw):
+    # Nearly collinear columns raise the condition number up to the RCOND
+    # cutoff, and rounding moves a least-squares residual in proportion.
+    d = draw.draw(st.integers(1, 3), label="d")
+    rows = draw.draw(st.integers(d + 1, 8), label="rows")
+    X = draw.draw(arrays(float, (5, rows, d), elements=st.floats(-5.0, 5.0)), label="X")
+    tilt = draw.draw(st.sampled_from([0.0, 1e-3, 1e-6, 1e-9]), label="tilt")
+    if tilt:
+        X[:, :, -1] = 2.0 * X[:, :, 0] - 1.0 + tilt * X[:, :, -1]
+    y = draw.draw(arrays(float, (5, rows), elements=st.floats(-5.0, 5.0)), label="y")
+    y = y + draw.draw(st.sampled_from([0.0, 1e4, 1e6, 1e8]), label="y offset")
+    A = np.concatenate([np.ones((5, rows, 1)), X], axis=2)
+    floors = fitting._sse_floor(A, y)
+    for c in range(5):
+        f = _ols(X[c], y[c])
+        assert 0.0 <= floors[c] <= f.mse * rows
+
+
+def _step_input():
     rng = np.random.default_rng(7)
     n = 12
     X = rng.uniform(-4.0, 4.0, size=(n, 1))
     y = 0.5 * X[:, 0] + rng.normal(0.0, 0.3, size=n)
     y[X[:, 0] > 0.5] += 2.0
+    return X, y
+
+
+def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
+    X, y = _step_input()
+    n = len(X)
     ols_rows = []
     svd_shapes = []
     real_ols, real_svd = fitting._ols, np.linalg.svd
@@ -239,6 +268,17 @@ def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
         for k in range(2, n - 1)
         for shape in ((comb(n, k), k, 2), (comb(n, k), n - k, 2))
     ]
+
+
+def test_naive_solver_tie_window_ignores_an_offset_in_y():
+    # The rounding slack scales with cond * ||y||, not y.y, so an offset
+    # that leaves every SSE gap in place does not bring back thousands of
+    # fits.
+    X, y = _step_input()
+    with mock.patch.object(fitting, "_ols", wraps=fitting._ols) as ols:
+        model = naive_calr(Dataset(X=X, y=y + 1e6))
+    assert model.m == 1
+    assert 0 < ols.call_count < 100
 
 
 def test_sampling_solver_m0_is_the_global_fit():
@@ -305,13 +345,66 @@ def test_sampling_solver_auto_epsilon_tracks_the_noise():
 
 def test_sampling_solver_reports_budget_exhaustion():
     data, _ = generate_separable(500, 2, 2, 0.01, 1.0, seed=0)
+    # Two draws cannot hold the m+1 = 3 acceptances a fit needs.
     with pytest.raises(BudgetExhaustedError) as exc:
-        cas_calr(data, FitConfig(m=2, seed=1, max_samples=3))
+        cas_calr(data, FitConfig(m=2, seed=1, max_samples=2))
     err = exc.value
-    assert err.samples_used == 3
+    assert err.samples_used == 2
     assert len(err.partial_models) <= 3
     assert isinstance(err.fallback, CalfModel) and err.fallback.m == 0
     assert_allclose(err.fallback.default.coeffs, lr(data).coeffs, atol=1e-12)
+
+
+def test_sampling_solver_draws_do_not_grow_with_n():
+    # Uniform draws almost always catch another residual point in their
+    # simplex at this size (over 3,000 draws per fit); draws near one
+    # anchor do not.
+    for s in range(5):
+        data, _ = generate_separable(5000, 2, 2, 0.01, 1.0, seed=s)
+        model = cas_calr(data, FitConfig(m=2, seed=s + 1000))
+        assert model.m == 2
+        assert model.fit_info["samples_used"] < 100
+
+
+def test_sampling_solver_fits_ten_thousand_points():
+    data, _ = generate_separable(10000, 2, 2, 0.01, 1.0, seed=4)
+    model = cas_calr(data, FitConfig(m=2, seed=1004))
+    assert model.m == 2
+    assert len(overlapping_training_points(model, data.X)) == 0
+
+
+def _within(X, y, f, eps):
+    return np.abs(y - f.predict_batch(X)) < eps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 2),
+    m=st.integers(1, 2),
+    seed=st.integers(0, 10_000),
+    sigma=st.sampled_from([0.0, 0.01, 0.05]),
+    eps_scale=st.sampled_from([2.0, 4.0, 8.0]),
+    start_seed=st.integers(0, 10_000),
+)
+def test_refit_within_returns_a_fixed_point(d, m, seed, sigma, eps_scale, start_seed):
+    # Started from the fit of d+1 training rows drawn as the sampler draws
+    # them, the refit stops on a model fitted to exactly its own
+    # within-eps rows, unless its row set fell below d+2 or the refit cap
+    # ran out.
+    data, _ = generate_separable(60 * (m + 1), d, m, sigma, 1.0, seed=seed)
+    X, y = data.X, data.y
+    eps = eps_scale * max(sigma, 0.001)
+    rng = np.random.default_rng(start_seed)
+    anchor = int(rng.integers(data.n))
+    near = fitting._nearest(X, X[anchor], 3 * (d + 1) + 1)
+    sample = np.append(anchor, rng.choice(near[near != anchor], size=d, replace=False))
+    start = _ols(X[sample], y[sample])
+    with mock.patch.object(fitting, "_ols", wraps=fitting._ols) as refits:
+        f, fits = fitting._refit_within(X, y, start, eps)
+    assert fits.tolist() == _within(X, y, f, eps).tolist()
+    assume(refits.call_count < fitting._REFIT_CAP and int(fits.sum()) >= d + 2)
+    again = _ols(X[fits], y[fits])
+    assert _within(X, y, again, eps).tolist() == fits.tolist()
 
 
 def test_two_function_solver_splits_a_planted_piece():
@@ -370,6 +463,18 @@ def test_svm_separator_fits_two_pieces(seed):
     data, _ = generate_separable(500, 2, 2, sigma, 1.0, seed=seed)
     model = cas_calr(data, FitConfig(m=2, seed=seed + 1000, separator="svm"))
     assert len(overlapping_training_points(model, data.X)) == 0
+    assert mse(model, data) <= 4 * sigma**2
+
+
+def test_assembly_regrows_a_model_accepted_off_a_band():
+    # The second acceptance here is refitted onto a band of its piece plus
+    # two far points of the default region, which is a stable row set of
+    # its own; refitting at assembly until the rows fitting each model
+    # alone settle sheds the far points and regrows the whole piece.
+    sigma = 0.01
+    data, truth = generate_separable(500, 2, 2, sigma, 1.0, seed=14)
+    model = cas_calr(data, FitConfig(m=2, seed=1014))
+    assert best_matching_distance(truth, model) <= 0.1
     assert mse(model, data) <= 4 * sigma**2
 
 

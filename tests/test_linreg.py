@@ -13,7 +13,6 @@ from calr.linreg import (
     f_test_pvalue,
     lr,
     mse,
-    predict_linear,
     regularized_incomplete_beta,
 )
 
@@ -80,16 +79,6 @@ def test_matches_normal_equations_oracle():
         lhs = np.max(np.abs(A.T @ resid))
         rhs = 1e-8 * max(1.0, float(np.max(np.abs(A.T @ data.y))))
         assert lhs <= rhs
-
-
-def test_predict_linear_values():
-    assert predict_linear(LinearModel(coeffs=np.array([1.0, 2.0])), np.array([3.0])) == 7.0
-    zero = LinearModel(coeffs=np.zeros(4))
-    assert predict_linear(zero, np.array([9.0, -2.0, 4.0])) == 0.0
-    ones = LinearModel(coeffs=np.array([1.0, 1.0, 1.0]))
-    assert predict_linear(ones, np.array([2.0, 3.0])) == 6.0
-    with pytest.raises(DimensionMismatchError):
-        predict_linear(ones, np.array([2.0]))
 
 
 def test_mse_values_and_oracle():

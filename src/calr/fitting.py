@@ -547,8 +547,10 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     global_fit = lr(data)
     global_sse = global_fit.mse * n
     # Ties are judged at rounding-noise resolution so an exactly-linear
-    # dataset does not hand the win to an arbitrary subset split.
-    tie_tol = 1e-12 * float(np.sum((y - y.mean()) ** 2))
+    # dataset does not hand the win to an arbitrary subset split.  For a
+    # constant y the spread is zero and rounding noise at the scale of
+    # y.y decides, as in _f_pvalue.
+    tie_tol = 1e-12 * max(float(np.sum((y - y.mean()) ** 2)), 1e-12 * float(y @ y))
     stop = global_sse - tie_tol
     sizes = range(d + 1, n - d)
     if not sizes:

@@ -4,24 +4,25 @@ A half-space is {x : alpha.x + gamma <= 0}; a convex area is a finite
 conjunction of half-spaces.  Membership is tolerant: a point x belongs if
 alpha.x + gamma <= tol_geo(x) with tol_geo(x) = 1e-9 * (1 + ||x||_inf).
 
-Two separator routes are provided and kept deliberately independent:
+Two plane searches are provided and kept deliberately independent:
 
 * gslp: a hand-written relaxation (sequential projection) solver for the
-  strict separation system w.(x_i - x0) <= -1.  cac asks it in four steps:
-  a short pass of n*d reflections; the LP hull-membership check, which
-  alone may declare a point inseparable; a long pass of 1000*n*d
-  reflections; and the exact separation LP;
-* svm_soft: a soft-margin maximum-margin plane used by the svm-flavoured
-  area construction, with the same hull check and exact-LP fallback.
+  strict separation system w.(x_i - x0) <= -1;
+* svm_soft: a soft-margin maximum-margin plane between two point sets.
 
-cac and cacs wrap the two routes into convex area construction: one
-separating half-space per excluded point, with already-excluded points
-pruned as the conjunction grows.
+cac and cacs build a convex area around the rows a boolean mask selects:
+one separating half-space per excluded point, with already-excluded points
+pruned as the conjunction grows.  Both climb one ladder per point and
+differ only in the search they climb it with: a quick search, the LP
+hull-membership check (which alone may declare a point inseparable), a
+thorough search, and the exact separation LP.  A point the hull LP calls
+outside that no step separates raises ConvergenceError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -210,11 +211,17 @@ def gslp(x0, points, max_iter: int | None = None):
     return HalfSpace(alpha=w, gamma=0.5 - float(w @ x0))
 
 
+def _smo_movable(y, a, c):
+    """Multipliers whose y_i * a_i can still rise, and those that can still fall."""
+    can_up = ((y > 0) & (a < c)) | ((y < 0) & (a > 0))
+    can_dn = ((y > 0) & (a > 0)) | ((y < 0) & (a < c))
+    return can_up, can_dn
+
+
 def _smo_select(y, a, grad, c):
     """Most violating pair for the dual problem; returns (i, j, kkt_gap)."""
     yg = y * grad
-    can_up = ((y > 0) & (a < c)) | ((y < 0) & (a > 0))
-    can_dn = ((y > 0) & (a > 0)) | ((y < 0) & (a < c))
+    can_up, can_dn = _smo_movable(y, a, c)
     if not np.any(can_up) or not np.any(can_dn):
         return -1, -1, 0.0
     i = int(np.argmax(np.where(can_up, yg, -np.inf)))
@@ -293,8 +300,7 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
         b = float(np.mean(y[free] - fx[free]))
     else:
         f_vals = y - fx
-        can_up = ((y > 0) & (a < c)) | ((y < 0) & (a > 0))
-        can_dn = ((y > 0) & (a > 0)) | ((y < 0) & (a < c))
+        can_up, can_dn = _smo_movable(y, a, c)
         lo = np.max(f_vals[can_up]) if np.any(can_up) else None
         hi = np.min(f_vals[can_dn]) if np.any(can_dn) else None
         if lo is None:
@@ -316,24 +322,6 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
 
 
 # ---- convex area construction ----
-
-
-def _resolve_inside_mask(points: np.ndarray, subset) -> np.ndarray:
-    """Boolean mask of the rows of points appearing (by value) in subset."""
-    if isinstance(subset, np.ndarray) and subset.dtype == bool:
-        if subset.shape != (len(points),):
-            raise DimensionMismatchError("boolean mask length does not match points")
-        return subset
-    S = np.asarray(subset, dtype=float)
-    if S.ndim != 2 or S.shape[1] != points.shape[1]:
-        raise DimensionMismatchError("subset and point set disagree on dimension")
-    mask = np.zeros(len(points), dtype=bool)
-    for s in S:
-        hit = np.all(points == s, axis=1)
-        if not np.any(hit):
-            raise InputError("subset contains a point not present in the point set")
-        mask |= hit
-    return mask
 
 
 def _separation_lp(u, D, bound: float = 1e12):
@@ -363,65 +351,67 @@ def _separation_lp(u, D, bound: float = 1e12):
     return HalfSpace(alpha=w, gamma=0.5 - float(w @ u))
 
 
-def _separate_one_lp(u, D):
-    """gslp with hull certification: None only when u is provably inside.
+def _gslp_attempt(u, D, thorough):
+    """gslp with n*d reflections, or 1000*n*d when thorough.
 
-    The first relaxation pass gets only n*d reflections: a separable point
-    takes a handful, while a point inside the hull would use up the whole
-    budget before the hull LP settles it in one solve.  gslp starts from
-    w = 0 every time, so the longer pass retraces the short one and finds
-    the plane a single long pass would.
+    gslp starts from w = 0 every time, so the thorough pass retraces the
+    quick one and finds the plane a single long pass would.
     """
     n, d = D.shape
-    h = gslp(u, D, max_iter=n * d)
-    if h is not None:
-        return h
-    if point_in_hull(u, D):
-        return None
-    # The relaxation gave up on a feasible system; retry with more room,
-    # then hand the pathological near-boundary case to the exact LP.
-    h = gslp(u, D, max_iter=1000 * n * d)
-    if h is not None:
-        return h
-    return _separation_lp(u, D)
+    return gslp(u, D, max_iter=(1000 if thorough else 1) * n * d)
 
 
-def _separate_one_svm(u, D, c):
-    """svm_soft plane with the same-side test; None only when u is provably inside.
+def _svm_attempt(u, D, thorough, c):
+    """svm_soft plane with no point of D on u's side, else None.
 
-    The first attempt runs on a small iteration budget: a separable point
-    converges almost immediately, while an inseparable one would grind on
-    slack trade-offs the hull oracle settles in one LP.  A certified
-    separable point the solver still misses goes to the exact LP.
+    The quick attempt runs 5000 iterations; the thorough one gets the full
+    budget and a 1000 times harder penalty so the margin beats the slack.
     """
     try:
-        h = svm_soft(D, u[None, :], c=c, max_iter=5000)
-        if not np.any(h.values_batch(D) * h.value(u) > 0.0):
-            return h
+        if thorough:
+            h = svm_soft(D, u[None, :], c=c * 1e3)
+        else:
+            h = svm_soft(D, u[None, :], c=c, max_iter=5000)
     except ConvergenceError:
-        pass
+        return None
+    if np.any(h.values_batch(D) * h.value(u) > 0.0):
+        return None
+    return h
+
+
+def _separate_one(u, D, attempt):
+    """A plane separating u from D, or None exactly when u lies in D's hull.
+
+    The quick attempt settles a separable point in a few steps, while a
+    point inside the hull would use up a long search before the hull LP
+    settles it in one solve.  A point the hull LP calls outside goes to
+    the thorough attempt and then to the exact separation LP; if neither
+    finds a plane, ConvergenceError is raised.
+    """
+    h = attempt(u, D, thorough=False)
+    if h is not None:
+        return h
     if point_in_hull(u, D):
         return None
-    # Certified separable: give the solver its full budget and a harder
-    # penalty so the margin beats the slack.
-    try:
-        h = svm_soft(D, u[None, :], c=c * 1e3)
-        if not np.any(h.values_batch(D) * h.value(u) > 0.0):
-            return h
-    except ConvergenceError:
-        pass
-    h = _separation_lp(u, D)
+    h = attempt(u, D, thorough=True)
+    if h is None:
+        h = _separation_lp(u, D)
     if h is None:
         raise ConvergenceError("no separator found a plane for a point outside the hull")
     return h
 
 
-def _construct_area(points, inside_mask, mode, c=SVM_C_DEFAULT):
+def _construct_area(points, inside, attempt):
     points = np.asarray(points, dtype=float)
-    D = points[inside_mask]
+    if points.ndim != 2:
+        raise DimensionMismatchError("points must be an (n, d) array")
+    inside = np.asarray(inside)
+    if inside.dtype != bool or inside.shape != (len(points),):
+        raise DimensionMismatchError("inside must be a boolean mask with one entry per point")
+    D = points[inside]
     if len(D) == 0:
         raise InputError("the inside set must be nonempty")
-    U = points[~inside_mask]
+    U = points[~inside]
     halfspaces = []
     excluded = np.zeros(len(U), dtype=bool)
     tols = _tol_geo_batch(U)
@@ -429,12 +419,18 @@ def _construct_area(points, inside_mask, mode, c=SVM_C_DEFAULT):
         if excluded[idx]:
             continue
         u = U[idx]
-        h = _separate_one_lp(u, D) if mode == "lp" else _separate_one_svm(u, D, c)
+        h = _separate_one(u, D, attempt)
         if h is None:
             return None
-        # Orient so the generating excluded point strictly violates it.
-        if h.value(u) <= 0.0:
-            h = h.flipped()
+        # Orient so the generating excluded point strictly violates it,
+        # then scale (planes are scale-free) until u clears its membership
+        # tolerance, which at large |u| exceeds the plane's unit margin.
+        value = h.value(u)
+        if value <= 0.0:
+            h, value = h.flipped(), -value
+        if value <= tols[idx]:
+            lift = 2.0 * tols[idx] / value
+            h = HalfSpace(alpha=h.alpha * lift, gamma=h.gamma * lift)
         halfspaces.append(h)
         # Prune every point this plane already pushes out.
         excluded |= h.values_batch(U) > tols
@@ -443,24 +439,24 @@ def _construct_area(points, inside_mask, mode, c=SVM_C_DEFAULT):
 
 
 def cac(points, inside):
-    """Convex area containing the inside subset, excluding the rest.
+    """Convex area containing the rows inside selects, excluding the rest.
 
-    One half-space per excluded point, skipping points already excluded
-    by earlier planes.  Each plane comes from the first of these steps
-    that yields one: gslp with n*d reflections; the LP hull oracle, which
-    returns None when the point lies in the convex hull of the inside set;
-    gslp with 1000*n*d reflections; the exact separation LP.  So None is
-    returned exactly when some excluded point lies in that hull.
+    inside must be a boolean mask with one entry per row of points, else
+    DimensionMismatchError.  One half-space per excluded point, skipping
+    points already excluded by earlier planes.  Each plane comes from the
+    first step that yields one: gslp with n*d reflections; the LP hull
+    oracle; gslp with 1000*n*d reflections; the exact separation LP.
+    Returns None exactly when some excluded point lies in the convex hull
+    of the inside rows, and raises ConvergenceError when the hull LP calls
+    a point outside but no step finds a plane.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise DimensionMismatchError("points must be an (n, d) array")
-    return _construct_area(points, _resolve_inside_mask(points, inside), mode="lp")
+    return _construct_area(points, inside, _gslp_attempt)
 
 
 def cacs(points, inside, c: float = SVM_C_DEFAULT):
-    """Same contract as cac with planes from the soft-margin solver."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise DimensionMismatchError("points must be an (n, d) array")
-    return _construct_area(points, _resolve_inside_mask(points, inside), mode="svm", c=c)
+    """Same contract as cac with planes from the soft-margin solver.
+
+    The quick step runs svm_soft for 5000 iterations at penalty c, the
+    thorough one for its full budget at 1000 * c.
+    """
+    return _construct_area(points, inside, partial(_svm_attempt, c=c))

@@ -121,6 +121,17 @@ def test_naive_solver_prefers_global_on_pure_lines():
     assert_allclose(model.default.coeffs, [-2.0, 3.0], atol=1e-9)
 
 
+def test_naive_solver_prefers_global_on_constant_y():
+    # The global fit is exact up to rounding, and no split may beat it on noise.
+    rng = np.random.default_rng(2)
+    for d in (1, 2):
+        X = rng.uniform(-1.0, 1.0, size=(12, d))
+        for level in (0.1, 3.0, 1e6):
+            model = naive_calr(Dataset(X=X, y=np.full(12, level)))
+            assert model.m == 0
+            assert_allclose(model.default.coeffs, [level] + [0.0] * d, atol=1e-9 * level)
+
+
 def test_naive_solver_enforces_its_cap():
     rng = np.random.default_rng(0)
     X = rng.uniform(size=(12, 1))
@@ -147,7 +158,7 @@ def _reference_naive_calr(data):
             sse = f_in.mse * len(idx) + f_out.mse * (n - len(idx))
             candidates.append((sse, mask, f_in, f_out))
     candidates.sort(key=lambda c: c[0])
-    tie_tol = 1e-12 * float(np.sum((y - y.mean()) ** 2))
+    tie_tol = 1e-12 * max(float(np.sum((y - y.mean()) ** 2)), 1e-12 * float(y @ y))
     for sse, mask, f_in, f_out in candidates:
         if sse >= global_sse - tie_tol:
             break
@@ -517,17 +528,17 @@ def test_empty_sample_simplex_is_separable_from_the_rest(draw):
 
 
 def _failing_first_svm_call(monkeypatch):
-    """Make the svm route's first plane raise ConvergenceError; later calls delegate."""
+    """Make the first plane search raise ConvergenceError; later calls delegate."""
     calls = []
-    original = geometry._separate_one_svm
+    original = geometry._separate_one
 
-    def flaky(u, D, c):
+    def flaky(u, D, attempt):
         calls.append(len(D))
         if len(calls) == 1:
             raise ConvergenceError("no separator found a plane for a point outside the hull")
-        return original(u, D, c)
+        return original(u, D, attempt)
 
-    monkeypatch.setattr(geometry, "_separate_one_svm", flaky)
+    monkeypatch.setattr(geometry, "_separate_one", flaky)
     return calls
 
 

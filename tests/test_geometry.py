@@ -13,7 +13,8 @@ from calr.geometry import (
     SVM_C_DEFAULT,
     ConvexArea,
     HalfSpace,
-    _separate_one_lp,
+    _gslp_attempt,
+    _separate_one,
     cac,
     cacs,
     gslp,
@@ -144,7 +145,7 @@ def test_separator_keeps_gslp_planes_and_hull_verdicts(draw):
         c = c / np.linalg.norm(c)
         push = draw.draw(st.floats(1e-4, 1.0), label="push")
         x0 = D[np.argmax(D @ c)] + push * c
-    h = _separate_one_lp(x0, D)
+    h = _separate_one(x0, D, _gslp_attempt)
     assert (h is None) == point_in_hull(x0, D)
     if h is not None:
         assert np.max(h.values_batch(D)) < 0.0 < h.value(x0)
@@ -170,7 +171,7 @@ def test_separator_asks_the_hull_before_a_long_relaxation(monkeypatch):
 
     monkeypatch.setattr(geometry, "gslp", spy_gslp)
     monkeypatch.setattr(geometry, "point_in_hull", spy_hull)
-    assert _separate_one_lp(D.mean(axis=0), D) is None
+    assert _separate_one(D.mean(axis=0), D, _gslp_attempt) is None
     assert "hull" in calls
     assert all(budget <= n * d for budget in calls[: calls.index("hull")])
 
@@ -326,10 +327,45 @@ def test_cacs_matches_cac_verdicts():
                 assert verdict.contains(D[i]) == bool(mask[i])
 
 
-def test_cac_accepts_value_keyed_subset():
+def test_area_construction_takes_only_a_boolean_mask():
     points = np.array([[0.0], [1.0], [5.0]])
-    area = cac(points, np.array([[0.0], [1.0]]))
-    assert area is not None
-    assert area.contains(np.array([1.0])) and not area.contains(np.array([5.0]))
-    with pytest.raises(InputError):
-        cac(points, np.array([[0.0], [99.0]]))
+    for separate in (cac, cacs):
+        for inside in (
+            np.array([[0.0], [1.0]]),  # rows by value
+            np.array([[0.0], [99.0]]),
+            np.array([1, 1, 0]),
+            np.array([True, True]),
+            np.array([True, True, False, False]),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                separate(points, inside)
+
+
+@pytest.mark.parametrize(
+    "points, inside",
+    [
+        ([[1e9], [1e9 + 10], [1e9 - 10]], [True, False, False]),
+        ([[1e10], [1e10 + 100], [1e10 - 100]], [True, False, False]),
+        ([[1e9, 0], [1e9 + 10, 0], [1e9, 10], [1e9 + 50, 50]], [True, True, True, False]),
+    ],
+)
+def test_area_excludes_its_points_at_large_coordinates(points, inside):
+    # The membership tolerance grows with |x| past a unit-margin plane's
+    # value at the excluded point, so planes must be scaled past it.
+    points, inside = np.array(points, dtype=float), np.array(inside)
+    for separate in (cac, cacs):
+        area = separate(points, inside)
+        assert area is not None
+        assert area.contains_batch(points).tolist() == inside.tolist()
+
+
+def test_area_construction_raises_when_no_step_separates_an_outside_point(monkeypatch):
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
+    inside = np.array([True, True, False, False])
+    assert not point_in_hull(points[3], points[inside])
+    monkeypatch.setattr(geometry, "_gslp_attempt", lambda u, D, thorough: None)
+    monkeypatch.setattr(geometry, "_svm_attempt", lambda u, D, thorough, c: None)
+    monkeypatch.setattr(geometry, "_separation_lp", lambda u, D: None)
+    for separate in (cac, cacs):
+        with pytest.raises(ConvergenceError):
+            separate(points, inside)

@@ -35,7 +35,6 @@ from .geometry import (
 from .linreg import (
     LinearModel,
     coefficient_distance,
-    f_test_pvalue,
     lr,
     mse,
     regularized_incomplete_beta,
@@ -75,7 +74,6 @@ __all__ = [
     "default_budget",
     "default_tau",
     "export_mip",
-    "f_test_pvalue",
     "generate_separable",
     "gslp",
     "load_csv",

@@ -10,13 +10,19 @@ Two plane searches are provided and kept deliberately independent:
   strict separation system w.(x_i - x0) <= -1;
 * svm_soft: a soft-margin maximum-margin plane between two point sets.
 
+_certified_inside proves a point lies in a hull without an LP: Wolfe's
+nearest-point iteration finds d+1 rows around it, and its barycentric
+coordinates in them are checked directly.  gslp asks it before reflecting.
+
 cac and cacs build a convex area around the rows a boolean mask selects:
 one separating half-space per excluded point, with already-excluded points
 pruned as the conjunction grows.  Both climb one ladder per point and
-differ only in the search they climb it with: a quick search, the LP
-hull-membership check (which alone may declare a point inseparable), a
-thorough search, and the exact separation LP.  A point the hull LP calls
-outside that no step separates raises ConvergenceError.
+differ only in the search they climb it with: the hull certificate, a
+quick search, the LP hull-membership check (the fallback for points the
+certificate cannot settle), a thorough search, and the exact separation
+LP.  Only the certificate and the hull LP may declare a point
+inseparable.  A point the hull LP calls outside that no step separates
+raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -142,17 +148,30 @@ class ConvexArea:
 # ---- separation primitives ----
 
 
-def point_in_hull(x0, points, tol: float = HULL_TOL) -> bool:
-    """LP feasibility of x0 = sum(lam_i p_i), sum(lam) = 1, lam >= 0."""
+def _point_and_set(x0, points):
+    """x0 and points as float arrays: one dimension, a nonempty set, finite."""
     x0 = np.asarray(x0, dtype=float)
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or x0.shape != (P.shape[1],):
-        raise DimensionMismatchError("point and hull vertices disagree on dimension")
+        raise DimensionMismatchError("x0 and points disagree on dimension")
+    if len(P) == 0 or not (np.all(np.isfinite(P)) and np.all(np.isfinite(x0))):
+        raise InputError("need a nonempty point set and finite coordinates")
+    return x0, P
+
+
+def point_in_hull(x0, points, tol: float = HULL_TOL) -> bool:
+    """LP feasibility of x0 = sum(lam_i p_i), sum(lam) = 1, lam >= 0.
+
+    The rows are posed as p_i - x0 with right-hand side 0: at |x| ~ 1e8
+    the rounding of raw coordinates exceeds the feasibility tolerance.
+    """
+    x0, P = _point_and_set(x0, points)
     from scipy.optimize import linprog  # SciPy loads on the first LP only
 
     n = len(P)
-    a_eq = np.vstack([P.T, np.ones((1, n))])
-    b_eq = np.concatenate([x0, [1.0]])
+    a_eq = np.vstack([(P - x0).T, np.ones((1, n))])
+    b_eq = np.zeros(len(x0) + 1)
+    b_eq[-1] = 1.0
     res = linprog(
         c=np.zeros(n),
         A_eq=a_eq,
@@ -167,6 +186,74 @@ def point_in_hull(x0, points, tol: float = HULL_TOL) -> bool:
     return bool(res.status == 0)
 
 
+def _affine_nearest(V):
+    """Weights v, summing to 1, of the point of V's affine hull nearest 0."""
+    if len(V) == 1:
+        return np.ones(1)
+    t = np.linalg.lstsq((V[1:] - V[0]).T, -V[0], rcond=None)[0]
+    return np.concatenate([[1.0 - t.sum()], t])
+
+
+def _barycentric_inside(R):
+    """True if the hull of the d+1 rows R holds the origin, by one solve.
+
+    Solves sum(lam_i R_i) = 0, sum(lam) = 1 and accepts lam >= 0 with a
+    rounding-level residual.
+    """
+    B = np.vstack([R.T, np.ones(len(R))])
+    e = np.zeros(len(R))
+    e[-1] = 1.0
+    try:
+        lam = np.linalg.solve(B, e)
+    except np.linalg.LinAlgError:
+        return False
+    resid = float(np.max(np.abs(B @ lam - e)))
+    return bool(np.all(lam >= 0.0) and resid <= 1e-12 * float(np.max(np.abs(B))))
+
+
+def _certified_inside(x0, P) -> bool:
+    """True only when x0 is shown to lie in conv(P); False settles nothing.
+
+    x0 equal to a row is inside at once.  Otherwise Wolfe's nearest-point
+    iteration (Wolfe 1976) runs on the unit vectors of P - x0, whose hull
+    holds the origin exactly when conv(P) holds x0, for at most 10*(d+1)
+    major cycles.  Whenever its corral has d+1 rows, x0's barycentric
+    coordinates in those rows are solved for in x-space (on the rows of
+    P - x0, not their unit vectors); all >= 0 with a rounding-level
+    residual is the certificate.  No LP is involved.
+    """
+    A = P - x0
+    sq = np.einsum("ij,ij->i", A, A)
+    if np.any(sq == 0.0):
+        return True
+    d = A.shape[1]
+    U = A / np.sqrt(sq)[:, None]
+    corral, w, x = [0], np.ones(1), U[0]
+    for _ in range(10 * (d + 1)):
+        dots = U @ x
+        j = int(np.argmin(dots))
+        if dots[j] > 0.0 or x @ x - dots[j] <= 1e-12:
+            return False  # x separates, or it is already the nearest point
+        corral.append(j)
+        w = np.append(w, 0.0)
+        while True:  # minor cycles: move to the corral's affine nearest point
+            if len(corral) == d + 1 and _barycentric_inside(A[corral]):
+                return True
+            v = _affine_nearest(U[corral])
+            if np.all(v > 0.0):
+                w, x = v, v @ U[corral]
+                break
+            out = np.flatnonzero(v <= 0.0)
+            steps = w[out] / np.maximum(w[out] - v[out], 1e-300)
+            w = w + float(np.min(steps)) * (v - w)
+            w[out[np.argmin(steps)]] = 0.0
+            keep = w > 0.0
+            corral = [c for c, k in zip(corral, keep) if k]
+            w = w[keep]
+            x = w @ U[corral]
+    return False
+
+
 def gslp(x0, points, max_iter: int | None = None):
     """Search a plane strictly separating x0 from a point set.
 
@@ -175,22 +262,27 @@ def gslp(x0, points, max_iter: int | None = None):
     margin; w is scale-free so this loses no generality).  The returned
     half-space puts its boundary at the margin midpoint, so the set lies
     inside (values <= -1/2) and x0 strictly outside (value +1/2).  Returns
-    None when the iteration cap (default 100*n*d reflections) or the
-    divergence guard is hit before all constraints hold.
+    None at once when _certified_inside proves x0 in the set's hull, and
+    otherwise when the iteration cap (default 100*n*d reflections) or the
+    divergence guard is hit before all constraints hold.  No LP is used.
     """
-    x0 = np.asarray(x0, dtype=float)
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or x0.shape != (P.shape[1],):
-        raise DimensionMismatchError("x0 and points disagree on dimension")
+    x0, P = _point_and_set(x0, points)
+    if _certified_inside(x0, P):
+        return None
     n, d = P.shape
+    return _gslp_reflect(x0, P, 100 * n * d if max_iter is None else max_iter)
+
+
+def _gslp_reflect(x0, P, max_iter):
+    """gslp's relaxation loop with max_iter reflections.
+
+    Callers ask _certified_inside first, which settles an x0 equal to a row.
+    """
+    d = P.shape[1]
     A = P - x0
     norms = np.linalg.norm(A, axis=1)
-    if np.any(norms < 1e-300):
-        return None  # x0 coincides with a set point; nothing separates them
     A_hat = A / norms[:, None]
     b = -1.0 / norms
-    if max_iter is None:
-        max_iter = 100 * n * d
     w = np.zeros(d)
     ok = False
     for _ in range(max_iter):
@@ -352,13 +444,14 @@ def _separation_lp(u, D, bound: float = 1e12):
 
 
 def _gslp_attempt(u, D, thorough):
-    """gslp with n*d reflections, or 1000*n*d when thorough.
+    """gslp's relaxation with n*d reflections, or 1000*n*d when thorough.
 
-    gslp starts from w = 0 every time, so the thorough pass retraces the
-    quick one and finds the plane a single long pass would.
+    It starts from w = 0 every time, so the thorough pass retraces the
+    quick one and finds the plane a single long pass would.  The ladder
+    has already asked the certificate, so gslp's own check is skipped.
     """
     n, d = D.shape
-    return gslp(u, D, max_iter=(1000 if thorough else 1) * n * d)
+    return _gslp_reflect(u, D, (1000 if thorough else 1) * n * d)
 
 
 def _svm_attempt(u, D, thorough, c):
@@ -382,12 +475,14 @@ def _svm_attempt(u, D, thorough, c):
 def _separate_one(u, D, attempt):
     """A plane separating u from D, or None exactly when u lies in D's hull.
 
-    The quick attempt settles a separable point in a few steps, while a
-    point inside the hull would use up a long search before the hull LP
-    settles it in one solve.  A point the hull LP calls outside goes to
-    the thorough attempt and then to the exact separation LP; if neither
-    finds a plane, ConvergenceError is raised.
+    _certified_inside settles most points inside the hull without an LP or
+    a plane search.  The quick attempt settles a separable point in a few
+    steps; a point neither settles goes to the hull LP.  A point the hull
+    LP calls outside goes to the thorough attempt and then to the exact
+    separation LP; if neither finds a plane, ConvergenceError is raised.
     """
+    if _certified_inside(u, D):
+        return None
     h = attempt(u, D, thorough=False)
     if h is not None:
         return h
@@ -405,6 +500,8 @@ def _construct_area(points, inside, attempt):
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise DimensionMismatchError("points must be an (n, d) array")
+    if not np.all(np.isfinite(points)):
+        raise InputError("points must be finite")
     inside = np.asarray(inside)
     if inside.dtype != bool or inside.shape != (len(points),):
         raise DimensionMismatchError("inside must be a boolean mask with one entry per point")
@@ -443,12 +540,13 @@ def cac(points, inside):
 
     inside must be a boolean mask with one entry per row of points, else
     DimensionMismatchError.  One half-space per excluded point, skipping
-    points already excluded by earlier planes.  Each plane comes from the
-    first step that yields one: gslp with n*d reflections; the LP hull
-    oracle; gslp with 1000*n*d reflections; the exact separation LP.
-    Returns None exactly when some excluded point lies in the convex hull
-    of the inside rows, and raises ConvergenceError when the hull LP calls
-    a point outside but no step finds a plane.
+    points already excluded by earlier planes.  Each point climbs one
+    ladder: the LP-free hull certificate; gslp with n*d reflections; the LP
+    hull oracle, for points neither settles; gslp with 1000*n*d
+    reflections; the exact separation LP.  Returns None exactly when some
+    excluded point lies in the convex hull of the inside rows, and raises
+    ConvergenceError when the hull LP calls a point outside but no step
+    finds a plane.
     """
     return _construct_area(points, inside, _gslp_attempt)
 

@@ -148,24 +148,6 @@ def _f_pvalue(ssr: float, sse: float, n: int, d: int, y_scale: float = 0.0) -> f
     return regularized_incomplete_beta(dof_err / 2.0, d / 2.0, x)
 
 
-def f_test_pvalue(model: LinearModel, data: "Dataset") -> float:
-    """Overall F-test p-value of a fitted model against a dataset.
-
-    Requires n > d+1 so the error degrees of freedom are positive.
-    """
-    if data.d != model.d:
-        raise DimensionMismatchError("model and data dimensions differ")
-    n, d = data.n, data.d
-    if n <= d + 1:
-        raise InputError(f"F-test needs n > d+1 (got n={n}, d={d})")
-    pred = model.predict_batch(data.X)
-    resid = data.y - pred
-    sse = float(resid @ resid)
-    ybar = float(np.mean(data.y))
-    ssr = float(np.sum((pred - ybar) ** 2))
-    return _f_pvalue(ssr, sse, n, d, y_scale=float(data.y @ data.y))
-
-
 # ---- regularized incomplete beta, continued fraction evaluation ----
 
 _BETA_EPS = 1e-12

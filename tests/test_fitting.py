@@ -1,6 +1,9 @@
 """The exact, sampling, and two-function solvers plus their helpers."""
 
 import json
+import subprocess
+import sys
+import textwrap
 from itertools import combinations, permutations
 from math import comb
 from unittest import mock
@@ -382,6 +385,22 @@ def test_sampling_solver_fits_ten_thousand_points():
     model = cas_calr(data, FitConfig(m=2, seed=1004))
     assert model.m == 2
     assert len(overlapping_training_points(model, data.X)) == 0
+
+
+def test_sampling_solver_settles_pipeline_fits_without_scipy():
+    # The hull certificate settles the excluded points inside a hull, so a
+    # fit of the CLI pipeline's shape and config never needs an LP.
+    script = textwrap.dedent("""
+        import sys
+        from calr import FitConfig, cas_calr, generate_separable
+
+        for s in (0, 3, 6, 100, 103):
+            data, _ = generate_separable(500, 2, 2, 0.01, 1.0, seed=s)
+            cas_calr(data, FitConfig(m=2, seed=s + 1000))
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)[:5]
+    """)
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def _within(X, y, f, eps):

@@ -13,6 +13,7 @@ from calr.geometry import (
     SVM_C_DEFAULT,
     ConvexArea,
     HalfSpace,
+    _certified_inside,
     _gslp_attempt,
     _separate_one,
     cac,
@@ -93,6 +94,18 @@ def test_point_in_hull_basic_cases():
     assert not point_in_hull(np.array([3.0, 4.1]), single)
 
 
+def test_point_in_hull_at_large_coordinates():
+    # Posed on raw coordinates near 1e8, the LP called a point 0.01 past
+    # the hull inside and a simplex's own centroid outside.
+    rng = np.random.default_rng(0)
+    line = 1e8 + rng.uniform(-2.0, 2.0, size=(12, 1))
+    assert not point_in_hull(line.max(axis=0) + 0.01, line)
+    assert point_in_hull(line.mean(axis=0), line)
+    simplex = 1e8 + np.random.default_rng(317838).uniform(-2.0, 2.0, size=(5, 4))
+    assert point_in_hull(simplex.mean(axis=0), simplex)
+    assert not point_in_hull(simplex.mean(axis=0) + 5.0, simplex)
+
+
 def test_gslp_separates_with_unit_margin():
     D = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     x0 = np.array([-1.0, -1.0])
@@ -104,6 +117,22 @@ def test_gslp_separates_with_unit_margin():
     assert gslp(np.array([2.0, 2.0]), np.array([[2.0, 2.0]])) is None
     with pytest.raises(DimensionMismatchError):
         gslp(np.array([1.0]), D)
+
+
+def test_separation_rejects_empty_or_non_finite_input():
+    D = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(InputError):
+        gslp(np.array([np.nan, 0.0]), D)
+    with pytest.raises(InputError):
+        gslp(np.zeros(2), np.zeros((0, 2)))
+    with pytest.raises(InputError):
+        point_in_hull(np.array([np.inf, 0.0]), D)
+    with pytest.raises(InputError):
+        point_in_hull(np.zeros(2), np.zeros((0, 2)))
+    for separate in (cac, cacs):
+        for bad in ([np.nan, 1.0], [np.inf, 3.0]):
+            with pytest.raises(InputError):
+                separate(np.vstack([D, bad]), np.array([True, True, True, False]))
 
 
 def test_gslp_agrees_with_hull_membership():
@@ -154,23 +183,93 @@ def test_separator_keeps_gslp_planes_and_hull_verdicts(draw):
         assert h == g
 
 
+def _facet_normal(F):
+    """Unit normal of the hyperplane through the d rows of F."""
+    if len(F) == 1:
+        return np.ones(1)
+    return np.linalg.svd(F[1:] - F[0])[2][-1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_hull_certificate_is_sound(draw):
+    # A certificate is a proof: whatever _certified_inside accepts, the hull
+    # LP must accept too.  False only means "not settled", so it is free.
+    kind = draw.draw(
+        st.sampled_from(["combination", "facet", "row", "duplicates", "collinear", "large"]),
+        label="kind",
+    )
+    d = 2 if kind == "collinear" else draw.draw(st.integers(1, 4), label="d")
+    n = draw.draw(st.integers(d + 1, 25), label="n")
+    seed = draw.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(-2.0, 2.0, size=(n, d))
+    if kind == "facet":
+        # A simplex plus interior rows, and x0 just off one facet, either side.
+        simplex = D[: d + 1]
+        D = np.vstack([simplex, rng.dirichlet(np.ones(d + 1), size=n - d - 1) @ simplex])
+        k = int(rng.integers(d + 1))
+        facet = np.delete(simplex, k, axis=0)
+        normal = _facet_normal(facet)
+        if normal @ (simplex[k] - facet[0]) > 0.0:
+            normal = -normal
+        offset = draw.draw(st.sampled_from([-1e-3, -1e-12, 1e-12, 1e-6, 1e-3]), label="offset")
+        x0 = rng.dirichlet(np.ones(d)) @ facet + offset * normal
+    elif kind == "row":
+        x0 = D[int(rng.integers(n))].copy()
+        assert _certified_inside(x0, D)
+    else:
+        if kind == "duplicates":
+            D = np.vstack([D, D[rng.integers(n, size=n)]])
+        elif kind == "collinear":
+            t = rng.uniform(-2.0, 2.0, size=n)
+            D = rng.uniform(-2.0, 2.0, size=2) + np.outer(t, rng.normal(size=2))
+        elif kind == "large":
+            D = 1e8 + D
+        if draw.draw(st.booleans(), label="inside"):
+            x0 = rng.dirichlet(np.ones(len(D))) @ D
+        else:
+            x0 = D.mean(axis=0) + rng.uniform(-3.0, 3.0, size=d)
+    if _certified_inside(x0, D):
+        assert point_in_hull(x0, D)
+
+
+def test_gslp_settles_an_inside_point_without_relaxation_or_lp(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gslp ran a step the certificate should have spared")
+
+    monkeypatch.setattr(geometry, "_gslp_reflect", forbidden)
+    monkeypatch.setattr(geometry, "point_in_hull", forbidden)
+    monkeypatch.setattr(geometry, "_separation_lp", forbidden)
+    monkeypatch.setattr("scipy.optimize.linprog", forbidden)
+    D = np.random.default_rng(11).uniform(-1.0, 1.0, size=(200, 3))
+    assert gslp(D.mean(axis=0), D) is None
+
+
 def test_separator_asks_the_hull_before_a_long_relaxation(monkeypatch):
     rng = np.random.default_rng(3)
     D = rng.uniform(-1.0, 1.0, size=(250, 2))
     n, d = D.shape
     calls = []
-    real_gslp, real_hull = geometry.gslp, geometry.point_in_hull
+    real_reflect, real_hull = geometry._gslp_reflect, geometry.point_in_hull
 
-    def spy_gslp(x0, points, max_iter=None):
-        calls.append(100 * n * d if max_iter is None else max_iter)
-        return real_gslp(x0, points, max_iter)
+    def spy_reflect(x0, points, max_iter):
+        calls.append(max_iter)
+        return real_reflect(x0, points, max_iter)
 
     def spy_hull(*args, **kwargs):
         calls.append("hull")
         return real_hull(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "gslp", spy_gslp)
+    monkeypatch.setattr(geometry, "_gslp_reflect", spy_reflect)
     monkeypatch.setattr(geometry, "point_in_hull", spy_hull)
+    # The certificate settles the centroid: no long relaxation, no hull LP.
+    assert _separate_one(D.mean(axis=0), D, _gslp_attempt) is None
+    assert "hull" not in calls
+    assert all(budget <= n * d for budget in calls)
+    # Without it, the hull LP still comes before any long relaxation.
+    calls.clear()
+    monkeypatch.setattr(geometry, "_certified_inside", lambda x0, P: False)
     assert _separate_one(D.mean(axis=0), D, _gslp_attempt) is None
     assert "hull" in calls
     assert all(budget <= n * d for budget in calls[: calls.index("hull")])
@@ -298,6 +397,26 @@ def test_cac_soundness_random_instances():
         for i in range(n):
             assert area.contains(D[i]) == bool(mask[i])
     assert built > 0
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_area_routes_are_sound_on_random_masks(draw):
+    # On a half-integer grid duplicate, collinear and on-boundary rows are
+    # common.  An area must hold exactly the masked rows; None must mean an
+    # excluded row lies in the hull of the included ones.
+    d = draw.draw(st.integers(1, 3), label="d")
+    n = draw.draw(st.integers(2, 12), label="n")
+    grid = st.integers(-6, 6).map(lambda k: k / 2.0)
+    points = draw.draw(arrays(float, (n, d), elements=grid), label="points")
+    mask = np.array(draw.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="mask"))
+    assume(mask.any())
+    for separate in (cac, cacs):
+        area = separate(points, mask)
+        if area is None:
+            assert any(point_in_hull(u, points[mask]) for u in points[~mask])
+        else:
+            assert area.contains_batch(points).tolist() == mask.tolist()
 
 
 def test_cac_prunes_redundant_planes():

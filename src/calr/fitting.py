@@ -3,7 +3,8 @@
 Three solution paths live here:
 
 * naive_calr: exact single-piece solver by subset enumeration (small n):
-  batched SSE lower bounds, _ols only in the tie window;
+  SSE lower bounds from one batched Householder QR per subset size, each
+  subset scored once, _ols only in the tie window;
 * cas_calr: the sampling solver — draw d+1 points near a random anchor,
   gate on y not flat on them (the F-test on d+1 points), an empty sample
   simplex and coefficient distance, shrink the residual set, then build
@@ -49,6 +50,7 @@ _REFIT_CAP = 20
 _SUPPORT_SHARE = 4
 _NEIGHBOURS_PER_POINT = 3
 _ROUNDING_SLACK = 1e-12
+_QR_COND_LIMIT = 1e8
 NAIVE_CAP_DEFAULT = 16
 
 
@@ -504,15 +506,13 @@ def cas2(data: Dataset, config: FitConfig) -> CalfModel:
     )
 
 
-def _sse_floor(A, Y):
-    """Lower bound on the SSE that _ols computes for each stacked system A[c] b ~ Y[c].
+def _svd_sse_floor(A, Y):
+    """_sse_floor's fallback: one SVD per system, with _ols's RCOND cutoff.
 
-    One SVD gives each system's least-squares residual: y minus its
-    projection on the left singular vectors whose singular values lie
-    above RCOND times the largest, as _ols's lstsq keeps them.  Rounding
-    moves a least-squares residual by about eps * cond * ||y||, in this
-    computation and in lstsq's, so the residual norm is lowered by a
-    generous multiple of that before it is squared.
+    Each system's least-squares residual is y minus its projection on the
+    left singular vectors whose singular values lie above RCOND times the
+    largest, as _ols's lstsq keeps them; the slack is _sse_floor's, with
+    cond the ratio of the largest kept singular value to the smallest.
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     keep = s > RCOND * s[:, :1]
@@ -520,6 +520,48 @@ def _sse_floor(A, Y):
     cond = s[:, 0] / np.min(np.where(keep, s, np.inf), axis=1)
     slack = _ROUNDING_SLACK * cond * np.linalg.norm(Y, axis=1)
     return np.maximum(np.linalg.norm(r, axis=1) - slack, 0.0) ** 2
+
+
+def _sse_floor(A, Y):
+    """Lower bound on the SSE that _ols computes for each stacked system A[c] b ~ Y[c].
+
+    Householder QR runs over the whole (N, k, p) stack at once, one
+    reflection per column, so no system pays for a LAPACK call; the
+    residual is the norm of (Q^T y)[p:].  Rounding moves a least-squares
+    residual by about eps * cond * ||y||, in this computation and in
+    lstsq's, so the residual norm is lowered by a generous multiple of
+    that before it is squared; cond is bounded from above by
+    ||R||_F * ||R^-1||_F.  A system whose bound passes _QR_COND_LIMIT, or
+    is not finite, goes to _svd_sse_floor, where the RCOND cutoff decides
+    as in _ols.  Below the limit lstsq keeps every singular value, so the
+    full projection leaves no more residual than lstsq's.
+    """
+    R, QtY = A.copy(), Y.copy()
+    p = R.shape[2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(p):
+            v = R[:, j:, j].copy()
+            norm = np.linalg.norm(v, axis=1)
+            v[:, 0] += np.copysign(norm, v[:, 0])
+            # A zero column makes v NaN: that system's bound is not finite.
+            v *= np.sqrt(2.0 / np.einsum("ci,ci->c", v, v))[:, None]
+            R[:, j:, j:] -= v[:, :, None] * np.einsum("ci,cij->cj", v, R[:, j:, j:])[:, None, :]
+            QtY[:, j:] -= v * np.einsum("ci,ci->c", v, QtY[:, j:])[:, None]
+        R = np.triu(R[:, :p, :])
+        # Back-substitution for R^-1, one row at a time from the bottom.
+        R_inv = np.zeros_like(R)
+        for i in range(p - 1, -1, -1):
+            R_inv[:, i, i] = 1.0 / R[:, i, i]
+            R_inv[:, i, i + 1 :] = -R_inv[:, i, i, None] * np.einsum(
+                "cl,clj->cj", R[:, i, i + 1 :], R_inv[:, i + 1 :, i + 1 :]
+            )
+        cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2))
+        slack = _ROUNDING_SLACK * cond * np.linalg.norm(Y, axis=1)
+        floors = np.maximum(np.linalg.norm(QtY[:, p:], axis=1) - slack, 0.0) ** 2
+    ill = ~(cond <= _QR_COND_LIMIT)
+    if np.any(ill):
+        floors[ill] = _svd_sse_floor(A[ill], Y[ill])
+    return floors
 
 
 def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
@@ -530,12 +572,16 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     the area-plus-complement model with the smallest total squared error
     (_ols's, ties to the earlier subset in combinations order); falls
     back to the single global fit when it ties or nothing separates.
-    Batched SSE lower bounds, _ols only in the tie window: one stacked
-    SVD per subset size and side bounds every candidate's _ols SSE from
-    below, allowing for rounding in proportion to the system's condition
-    and ||y||, and only candidates whose bound reaches the walk's front
-    get fitted by _ols, which settles their order.  The exponential loop
-    refuses to run past the cap unless raised.
+    Batched SSE lower bounds, _ols only in the tie window: _sse_floor
+    bounds every k-subset's _ols SSE from below, all subsets of one size
+    in one batched Householder QR, allowing for rounding in proportion to
+    the system's condition and ||y||.  Each subset is scored once: the
+    complement of the i-th k-subset in combinations order is the
+    (C(n, k)-1-i)-th (n-k)-subset, so a candidate's bound is its subset's
+    plus the mirrored entry of the other size.  Only candidates whose
+    bound reaches the walk's front get fitted by _ols, which settles their
+    order.  The exponential loop refuses to run past the cap unless
+    raised.
     """
     n, d = data.n, data.d
     if n > cap:
@@ -556,18 +602,19 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     if not sizes:
         return _global_model(data)
     A = np.column_stack([np.ones(n), X])
-    masks, floors = [], []
+    masks, own = [], {}
     for k in sizes:
-        # Every k-subset's rows and complement, in combinations order.
+        # Every k-subset's rows, in combinations order, scored once.
         inside = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.intp)
         inside = inside.reshape(-1, k)
         mk = np.zeros((len(inside), n), dtype=bool)
         mk[np.arange(len(inside))[:, None], inside] = True
-        outside = np.nonzero(~mk)[1].reshape(-1, n - k)
         masks.append(mk)
-        floors.append(_sse_floor(A[inside], y[inside]) + _sse_floor(A[outside], y[outside]))
+        own[k] = _sse_floor(A[inside], y[inside])
     masks = np.concatenate(masks)
-    floors = np.concatenate(floors)
+    # The complement of the i-th k-combination is the (C(n, k)-1-i)-th
+    # (n-k)-combination, so each side's floor is read off one array.
+    floors = np.concatenate([own[k] + own[n - k][::-1] for k in sizes])
     order = np.argsort(floors, kind="stable")
     fitted = []  # heap of (_ols SSE, enumeration index, f_in, f_out)
     pos = 0

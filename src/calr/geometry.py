@@ -12,17 +12,19 @@ Two plane searches are provided and kept deliberately independent:
 
 _certified_inside proves a point lies in a hull without an LP: Wolfe's
 nearest-point iteration finds d+1 rows around it, and its barycentric
-coordinates in them are checked directly.  gslp asks it before reflecting.
+coordinates in them are checked directly.  An iterate that separates the
+point from the hull by a clear margin proves it outside instead.  gslp
+asks it before reflecting.
 
 cac and cacs build a convex area around the rows a boolean mask selects:
 one separating half-space per excluded point, with already-excluded points
 pruned as the conjunction grows.  Both climb one ladder per point and
 differ only in the search they climb it with: the hull certificate, a
 quick search, the LP hull-membership check (the fallback for points the
-certificate cannot settle), a thorough search, and the exact separation
-LP.  Only the certificate and the hull LP may declare a point
-inseparable.  A point the hull LP calls outside that no step separates
-raises ConvergenceError.
+certificate settles neither way), a thorough search, and the exact
+separation LP.  Only the certificate and the hull LP may declare a point
+inseparable.  A point shown outside that no step separates raises
+ConvergenceError.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .exceptions import ConvergenceError, DimensionMismatchError, InputError
 
 GEO_TOL_SCALE = 1e-9
 HULL_TOL = 1e-9
+_OUTSIDE_MARGIN = 1e-6
 SVM_C_DEFAULT = 1e3
 SVM_MAX_ITER = 100_000
 _DIVERGENCE_NORM = 1e14
@@ -211,8 +214,8 @@ def _barycentric_inside(R):
     return bool(np.all(lam >= 0.0) and resid <= 1e-12 * float(np.max(np.abs(B))))
 
 
-def _certified_inside(x0, P) -> bool:
-    """True only when x0 is shown to lie in conv(P); False settles nothing.
+def _certified_inside(x0, P):
+    """True when x0 is shown to lie in conv(P), False when shown outside, else None.
 
     x0 equal to a row is inside at once.  Otherwise Wolfe's nearest-point
     iteration (Wolfe 1976) runs on the unit vectors of P - x0, whose hull
@@ -220,7 +223,11 @@ def _certified_inside(x0, P) -> bool:
     major cycles.  Whenever its corral has d+1 rows, x0's barycentric
     coordinates in those rows are solved for in x-space (on the rows of
     P - x0, not their unit vectors); all >= 0 with a rounding-level
-    residual is the certificate.  No LP is involved.
+    residual is the certificate.  An iterate x with (p_i - x0).x > 0 on
+    every row separates, and min_i (p_i - x0).x / ||x|| bounds x0's
+    distance from the hull from below; a bound above _OUTSIDE_MARGIN *
+    (1 + ||x0||_inf), far above the hull LP's tolerance, proves x0
+    outside.  No LP is involved.
     """
     A = P - x0
     sq = np.einsum("ij,ij->i", A, A)
@@ -232,8 +239,11 @@ def _certified_inside(x0, P) -> bool:
     for _ in range(10 * (d + 1)):
         dots = U @ x
         j = int(np.argmin(dots))
-        if dots[j] > 0.0 or x @ x - dots[j] <= 1e-12:
-            return False  # x separates, or it is already the nearest point
+        if dots[j] > 0.0:
+            gap = float(np.min(A @ x)) / float(np.linalg.norm(x))
+            return False if gap > _OUTSIDE_MARGIN * (1.0 + float(np.max(np.abs(x0)))) else None
+        if x @ x - dots[j] <= 1e-12:
+            return None  # x is already the nearest point
         corral.append(j)
         w = np.append(w, 0.0)
         while True:  # minor cycles: move to the corral's affine nearest point
@@ -251,7 +261,7 @@ def _certified_inside(x0, P) -> bool:
             corral = [c for c, k in zip(corral, keep) if k]
             w = w[keep]
             x = w @ U[corral]
-    return False
+    return None
 
 
 def gslp(x0, points, max_iter: int | None = None):
@@ -476,17 +486,19 @@ def _separate_one(u, D, attempt):
     """A plane separating u from D, or None exactly when u lies in D's hull.
 
     _certified_inside settles most points inside the hull without an LP or
-    a plane search.  The quick attempt settles a separable point in a few
-    steps; a point neither settles goes to the hull LP.  A point the hull
-    LP calls outside goes to the thorough attempt and then to the exact
-    separation LP; if neither finds a plane, ConvergenceError is raised.
+    a plane search, and proves some outside.  The quick attempt settles a
+    separable point in a few steps; a point neither settles goes to the
+    hull LP, unless the certificate has proved it outside.  A point shown
+    outside goes to the thorough attempt and then to the exact separation
+    LP; if neither finds a plane, ConvergenceError is raised.
     """
-    if _certified_inside(u, D):
+    verdict = _certified_inside(u, D)
+    if verdict:
         return None
     h = attempt(u, D, thorough=False)
     if h is not None:
         return h
-    if point_in_hull(u, D):
+    if verdict is None and point_in_hull(u, D):
         return None
     h = attempt(u, D, thorough=True)
     if h is None:
@@ -542,11 +554,11 @@ def cac(points, inside):
     DimensionMismatchError.  One half-space per excluded point, skipping
     points already excluded by earlier planes.  Each point climbs one
     ladder: the LP-free hull certificate; gslp with n*d reflections; the LP
-    hull oracle, for points neither settles; gslp with 1000*n*d
-    reflections; the exact separation LP.  Returns None exactly when some
-    excluded point lies in the convex hull of the inside rows, and raises
-    ConvergenceError when the hull LP calls a point outside but no step
-    finds a plane.
+    hull oracle, for points neither settles and the certificate has not
+    proved outside; gslp with 1000*n*d reflections; the exact separation
+    LP.  Returns None exactly when some excluded point lies in the convex
+    hull of the inside rows, and raises ConvergenceError when a point is
+    shown outside but no step finds a plane.
     """
     return _construct_area(points, inside, _gslp_attempt)
 

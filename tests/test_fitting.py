@@ -226,17 +226,63 @@ def test_batched_naive_solver_matches_the_per_subset_loop(draw):
     assert got == want
 
 
+def _adversarial_input(kind):
+    rng = np.random.default_rng(41)
+    n = 9
+    X = rng.uniform(-4.0, 4.0, size=(n, 2 if kind == "constant column" else 1))
+    if kind == "constant column":
+        X[:, 1] = 3.0
+    elif kind == "duplicate x":
+        n = 10
+        X = np.repeat(rng.uniform(-4.0, 4.0, size=(n // 2, 1)), 2, axis=0)
+    elif kind == "large x":
+        X = 1e8 + X
+    y = 0.5 * (X[:, 0] - X[:, 0].mean()) + rng.normal(0.0, 0.3, size=n)
+    y[X[:, 0] > np.median(X[:, 0])] += 2.0
+    return Dataset(X=X, y=y)
+
+
+@pytest.mark.parametrize("kind", ["constant column", "duplicate x", "large x"])
+def test_naive_solver_matches_the_per_subset_loop_on_adversarial_inputs(kind):
+    # Every subset of a constant column or of duplicate rows is rank-deficient,
+    # and |x| ~ 1e8 puts the ones column and x at a condition number past
+    # the batched floor's limit: the RCOND cutoff decides these floors.
+    data = _adversarial_input(kind)
+    want = json.dumps(model_to_doc(_reference_naive_calr(data)), sort_keys=True)
+    got = json.dumps(model_to_doc(naive_calr(data)), sort_keys=True)
+    assert got == want
+
+
+def test_complement_of_a_combination_is_the_mirrored_combination():
+    # naive_calr reads each candidate's outside floor off the (n-k)-subset
+    # array in reverse, which relies on this order of combinations.
+    for n in range(1, 9):
+        for k in range(n + 1):
+            inside = list(combinations(range(n), k))
+            outside = list(combinations(range(n), n - k))
+            assert len(inside) == len(outside) == comb(n, k)
+            for i, subset in enumerate(inside):
+                rest = tuple(j for j in range(n) if j not in subset)
+                assert outside[len(inside) - 1 - i] == rest
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_sse_floor_lies_below_the_least_squares_sse(draw):
     # Nearly collinear columns raise the condition number up to the RCOND
     # cutoff, and rounding moves a least-squares residual in proportion.
+    # Each system of a stack has its own tilt, so one stack can straddle
+    # the limit past which a floor comes from the SVD fallback.
     d = draw.draw(st.integers(1, 3), label="d")
     rows = draw.draw(st.integers(d + 1, 8), label="rows")
     X = draw.draw(arrays(float, (5, rows, d), elements=st.floats(-5.0, 5.0)), label="X")
-    tilt = draw.draw(st.sampled_from([0.0, 1e-3, 1e-6, 1e-9]), label="tilt")
-    if tilt:
-        X[:, :, -1] = 2.0 * X[:, :, 0] - 1.0 + tilt * X[:, :, -1]
+    tilts = draw.draw(
+        st.lists(st.sampled_from([0.0, 1e-3, 1e-6, 1e-7, 1e-8, 1e-9]), min_size=5, max_size=5),
+        label="tilts",
+    )
+    for c, tilt in enumerate(tilts):
+        if tilt:
+            X[c, :, -1] = 2.0 * X[c, :, 0] - 1.0 + tilt * X[c, :, -1]
     y = draw.draw(arrays(float, (5, rows), elements=st.floats(-5.0, 5.0)), label="y")
     y = y + draw.draw(st.sampled_from([0.0, 1e4, 1e6, 1e8]), label="y offset")
     A = np.concatenate([np.ones((5, rows, 1)), X], axis=2)
@@ -244,6 +290,31 @@ def test_sse_floor_lies_below_the_least_squares_sse(draw):
     for c in range(5):
         f = _ols(X[c], y[c])
         assert 0.0 <= floors[c] <= f.mse * rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_sse_floor_of_a_rank_deficient_stack_is_the_svd_floor(draw):
+    # Exactly rank-deficient systems are where the RCOND cutoff decides the
+    # SSE, so their floors must come from the SVD fallback unchanged.
+    d = draw.draw(st.integers(1, 3), label="d")
+    rows = draw.draw(st.integers(d + 1, 8), label="rows")
+    X = draw.draw(arrays(float, (5, rows, d), elements=st.floats(-5.0, 5.0)), label="X")
+    shapes = ["constant column", "duplicate rows"] + (["collinear"] if d > 1 else [])
+    shape = draw.draw(st.sampled_from(shapes), label="shape")
+    if shape == "constant column":
+        X[:, :, -1] = 1.5
+    elif shape == "duplicate rows":
+        X[:, :, :] = X[:, :1, :]
+    else:
+        X[:, :, -1] = 2.0 * X[:, :, 0] - 1.0
+    y = draw.draw(arrays(float, (5, rows), elements=st.floats(-5.0, 5.0)), label="y")
+    y = y + draw.draw(st.sampled_from([0.0, 1e4]), label="y offset")
+    A = np.concatenate([np.ones((5, rows, 1)), X], axis=2)
+    floors = fitting._sse_floor(A, y)
+    assert np.array_equal(floors, fitting._svd_sse_floor(A, y))
+    for c in range(5):
+        assert floors[c] <= _ols(X[c], y[c]).mse * rows
 
 
 def _step_input():
@@ -259,29 +330,34 @@ def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
     X, y = _step_input()
     n = len(X)
     ols_rows = []
-    svd_shapes = []
-    real_ols, real_svd = fitting._ols, np.linalg.svd
+    floor_shapes = []
+    svd_calls = []
+    real_ols, real_floor, real_svd = fitting._ols, fitting._sse_floor, np.linalg.svd
 
     def ols_spy(X, y):
         ols_rows.append(len(X))
         return real_ols(X, y)
 
+    def floor_spy(A, Y):
+        floor_shapes.append(A.shape)
+        return real_floor(A, Y)
+
     def svd_spy(A, *args, **kwargs):
-        svd_shapes.append(A.shape)
+        svd_calls.append(A.shape)
         return real_svd(A, *args, **kwargs)
 
     monkeypatch.setattr(fitting, "_ols", ols_spy)
+    monkeypatch.setattr(fitting, "_sse_floor", floor_spy)
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
     model = naive_calr(Dataset(X=X, y=y))
     assert model.m == 1
     # A per-subset loop fits both sides of every subset: 8,140 calls here.
     assert 0 < len(ols_rows) < 100
-    # One stacked SVD per subset size and side, over all C(n, k) subsets.
-    assert svd_shapes == [
-        shape
-        for k in range(2, n - 1)
-        for shape in ((comb(n, k), k, 2), (comb(n, k), n - k, 2))
-    ]
+    # Each subset is scored once, in one batch per size; its complement's
+    # floor is read from the batch of the complementary size.
+    assert floor_shapes == [(comb(n, k), k, 2) for k in range(2, n - 1)]
+    # Every system here is well conditioned, so no floor needs an SVD.
+    assert svd_calls == []
 
 
 def test_naive_solver_tie_window_ignores_an_offset_in_y():
@@ -397,6 +473,32 @@ def test_sampling_solver_settles_pipeline_fits_without_scipy():
         for s in (0, 3, 6, 100, 103):
             data, _ = generate_separable(500, 2, 2, 0.01, 1.0, seed=s)
             cas_calr(data, FitConfig(m=2, seed=s + 1000))
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)[:5]
+    """)
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_exact_solver_settles_its_fits_without_scipy():
+    # Points the certificate proves outside skip the hull LP, so fits of
+    # the exact solver's benchmark shapes never need an LP.
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from calr import Dataset, generate_separable, naive_calr
+
+        for seed in (0, 1, 2):
+            for kind, d, n in (("step", 1, 12), ("planted", 1, 12), ("step", 2, 13),
+                               ("planted", 2, 13), ("step", 1, 14), ("planted", 2, 14)):
+                if kind == "planted":
+                    data, _ = generate_separable(n, d, 1, 0.01, 1.0, seed=seed)
+                else:
+                    rng = np.random.default_rng(seed)
+                    X = rng.uniform(-4.0, 4.0, size=(n, d))
+                    y = 0.5 * X[:, 0] + rng.normal(0.0, 0.3, size=n)
+                    y[X[:, 0] > float(rng.uniform(-2.0, 2.0))] += 2.0
+                    data = Dataset(X=X, y=y)
+                naive_calr(data)
         assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)[:5]
     """)
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -190,11 +190,8 @@ def _facet_normal(F):
     return np.linalg.svd(F[1:] - F[0])[2][-1]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.data())
-def test_hull_certificate_is_sound(draw):
-    # A certificate is a proof: whatever _certified_inside accepts, the hull
-    # LP must accept too.  False only means "not settled", so it is free.
+def _draw_hull_case(draw):
+    """x0 and D for the certificate properties; a row x0 must be certified."""
     kind = draw.draw(
         st.sampled_from(["combination", "facet", "row", "duplicates", "collinear", "large"]),
         label="kind",
@@ -230,8 +227,27 @@ def test_hull_certificate_is_sound(draw):
             x0 = rng.dirichlet(np.ones(len(D))) @ D
         else:
             x0 = D.mean(axis=0) + rng.uniform(-3.0, 3.0, size=d)
+    return x0, D
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_hull_certificate_is_sound(draw):
+    # A certificate is a proof: whatever _certified_inside accepts, the hull
+    # LP must accept too.  None only means "not settled", so it is free.
+    x0, D = _draw_hull_case(draw)
     if _certified_inside(x0, D):
         assert point_in_hull(x0, D)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_hull_certificate_outside_is_sound(draw):
+    # An "outside" verdict lets the separator skip the hull LP, so the hull
+    # LP must reject every point the certificate proves outside.
+    x0, D = _draw_hull_case(draw)
+    if _certified_inside(x0, D) is False:
+        assert not point_in_hull(x0, D)
 
 
 def test_gslp_settles_an_inside_point_without_relaxation_or_lp(monkeypatch):
@@ -269,10 +285,27 @@ def test_separator_asks_the_hull_before_a_long_relaxation(monkeypatch):
     assert all(budget <= n * d for budget in calls)
     # Without it, the hull LP still comes before any long relaxation.
     calls.clear()
-    monkeypatch.setattr(geometry, "_certified_inside", lambda x0, P: False)
+    monkeypatch.setattr(geometry, "_certified_inside", lambda x0, P: None)
     assert _separate_one(D.mean(axis=0), D, _gslp_attempt) is None
     assert "hull" in calls
     assert all(budget <= n * d for budget in calls[: calls.index("hull")])
+
+
+def test_separator_skips_the_hull_lp_for_a_point_proved_outside(monkeypatch):
+    # When the quick search misses, a point the certificate has proved
+    # outside goes straight to the thorough search.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the hull LP ran on a point proved outside")
+
+    def attempt(u, D, thorough):
+        return _gslp_attempt(u, D, thorough) if thorough else None
+
+    monkeypatch.setattr(geometry, "point_in_hull", forbidden)
+    D = np.random.default_rng(13).uniform(-1.0, 1.0, size=(30, 2))
+    u = np.array([2.5, 0.5])
+    h = _separate_one(u, D, attempt)
+    assert h is not None and h.value(u) > 0.0
+    assert np.all(h.values_batch(D) < 0.0)
 
 
 def test_svm_separator_falls_back_to_the_exact_lp(monkeypatch):

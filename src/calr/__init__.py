@@ -1,13 +1,6 @@
 """Piecewise-linear regression over disjoint convex areas."""
 
-from .calf import (
-    CalfModel,
-    PldcSpec,
-    decide_calr,
-    overlapping_training_points,
-    pldc_to_calf,
-    predict,
-)
+from .calf import CalfModel, PldcSpec, overlapping_training_points, pldc_to_calf
 from .dataset import Dataset, GroundTruth, generate_separable, load_csv, write_csv
 from .exceptions import (
     BudgetExhaustedError,
@@ -70,7 +63,6 @@ __all__ = [
     "cas2",
     "cas_calr",
     "coefficient_distance",
-    "decide_calr",
     "default_budget",
     "default_tau",
     "export_mip",
@@ -87,7 +79,6 @@ __all__ = [
     "pldc_to_calf",
     "point_in_hull",
     "post",
-    "predict",
     "regularized_incomplete_beta",
     "save_model",
     "save_truth",

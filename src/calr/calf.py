@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, InputError
+from .exceptions import DimensionMismatchError, InputError, as_points
 from .geometry import ConvexArea, HalfSpace
-from .linreg import LinearModel, mse
+from .linreg import LinearModel
 
 
 @dataclass(eq=False)
@@ -48,36 +48,23 @@ class CalfModel:
     def m(self) -> int:
         return len(self.pieces)
 
-    def _row(self, x) -> np.ndarray:
-        """One point as a one-row batch, after checking its dimension."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise DimensionMismatchError(
-                f"expected a point of dimension {self.d}, got shape {x.shape}"
-            )
-        return x[None, :]
-
     def piece_index(self, x) -> int:
         """Index of the lowest piece containing x; 0 for the default region."""
-        return int(self.assign_batch(self._row(x))[0])
+        return int(self.assign_batch(np.asarray(x, dtype=float)[None])[0])
 
     def predict(self, x) -> float:
-        return float(self.predict_batch(self._row(x))[0])
+        return float(self.predict_batch(np.asarray(x, dtype=float)[None])[0])
 
     def assign_batch(self, X) -> np.ndarray:
         """Piece index per row; later pieces never override earlier ones."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise DimensionMismatchError(
-                f"expected points of dimension {self.d}, got shape {X.shape}"
-            )
+        X = as_points(X, self.d)
         idx = np.zeros(len(X), dtype=int)
         for i in range(len(self.pieces) - 1, -1, -1):
             idx[self.pieces[i][1].contains_batch(X)] = i + 1
         return idx
 
     def predict_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = as_points(X, self.d)
         idx = self.assign_batch(X)
         out = self.default.predict_batch(X)
         for i, (f, _) in enumerate(self.pieces):
@@ -92,11 +79,6 @@ class CalfModel:
         return self.default == other.default and self.pieces == other.pieces
 
 
-def predict(model: CalfModel, x) -> float:
-    """Evaluate a piecewise model at one point."""
-    return model.predict(x)
-
-
 def overlapping_training_points(model: CalfModel, X) -> np.ndarray:
     """Rows of X claimed by two or more piece areas (should be empty)."""
     X = np.asarray(X, dtype=float)
@@ -106,11 +88,6 @@ def overlapping_training_points(model: CalfModel, X) -> np.ndarray:
     for _, area in model.pieces:
         counts += area.contains_batch(X)
     return np.flatnonzero(counts >= 2)
-
-
-def decide_calr(data, model: CalfModel, bound: float) -> bool:
-    """True iff the model's mean squared error on the data is below bound."""
-    return mse(model, data) < bound
 
 
 @dataclass(eq=False)
@@ -147,11 +124,7 @@ class PldcSpec:
 
     def evaluate(self, x) -> float:
         """Direct max-minus-max evaluation."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise DimensionMismatchError(
-                f"expected a point of dimension {self.d}, got shape {x.shape}"
-            )
+        (x,) = as_points(np.asarray(x, dtype=float)[None], self.d)
         plus = max(float(a @ x) + c for a, c in self.plus_terms)
         minus = max(float(b @ x) + c for b, c in self.minus_terms)
         return plus - minus

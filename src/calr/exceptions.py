@@ -2,10 +2,13 @@
 
 Two branches matter to callers: InputError (bad data or parameters, CLI
 exit code 1) and FitDiagnostic (the algorithm ran but could not finish
-under its assumptions, CLI exit code 2).
+under its assumptions, CLI exit code 2).  as_points is the one shape
+check behind every batch method that takes points.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class CalrError(Exception):
@@ -64,3 +67,14 @@ class BudgetExhaustedError(FitDiagnostic):
 
 class SeparabilityError(FitDiagnostic):
     """The data violated a separability assumption mid-construction."""
+
+
+def as_points(X, d) -> np.ndarray:
+    """X as a float (k, d) array; DimensionMismatchError for any other shape.
+
+    d of None accepts any number of columns.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or (d is not None and X.shape[1] != d):
+        raise DimensionMismatchError(f"expected points of dimension {d}, got shape {X.shape}")
+    return X

@@ -9,8 +9,8 @@ Three solution paths live here:
   gate on y not flat on them (the F-test on d+1 points), an empty sample
   simplex and coefficient distance, shrink the residual set, then build
   piece areas and hand overlap strips to post;
-* cas2: a two-function variant that settles piece-vs-default by which of
-  the two fitting sets is separable.
+* cas2: a two-function variant: one sampled fit and the fit of its
+  complement, assembled as cas_calr assembles its accepted models.
 
 Both sampling solvers share one _Sampler: its setup, its local proposals
 (an anchor row and d of its nearest neighbours, NAPSAC-style) and its
@@ -228,8 +228,15 @@ class _Sampler:
         near = near[near != anchor][:k]
         sample = np.concatenate([[anchor], self.rng.choice(near, size=d, replace=False)])
         f = _interpolant(X[sample], y[sample], rest, sample)
-        if f is None:
-            return None
+        return None if f is None else self.settle(X, y, f)
+
+    def settle(self, X, y, f):
+        """f refitted on its rows of (X, y) within eps: (model, fit mask), or None.
+
+        None when fewer rows fit than the support floor, the larger of d+2
+        and n / (4(m+1)) for the n rows of X.
+        """
+        n, d = X.shape
         f, fits = _refit_within(X, y, f, self.eps)
         if int(fits.sum()) < max(d + 2, n // (_SUPPORT_SHARE * (self.m + 1))):
             return None
@@ -311,32 +318,26 @@ def _assemble(data, F, eps, separate):
         unique = counts == 1
         if np.array_equal(fits, before):
             break
+    # The best-supported model is the default unless another model's own
+    # point set is inseparable; its own set is separated only in that case.
+    default_idx = int(np.argmax((fits & unique[:, None]).sum(axis=0)))
     uni_idx = np.flatnonzero(unique)
-    areas = []
-    inseparable = []
-    for fi in range(len(F)):
+
+    def area_of(fi):
         own = unique & fits[:, fi]
-        if not np.any(own):
-            areas.append(None)
-            inseparable.append(fi)
-            continue
-        area = separate(X[uni_idx], own[uni_idx])
-        areas.append(area)
-        if area is None:
-            inseparable.append(fi)
-    if len(inseparable) > 1:
-        raise SeparabilityError(
-            f"{len(inseparable)} fitted models have non-separable point sets; "
-            "expected at most one (the default)"
-        )
+        return separate(X[uni_idx], own[uni_idx]) if np.any(own) else None
+
+    areas = {fi: area_of(fi) for fi in range(len(F)) if fi != default_idx}
+    inseparable = [fi for fi, area in areas.items() if area is None]
     if inseparable:
+        areas[default_idx] = area_of(default_idx)
+        if len(inseparable) > 1 or areas[default_idx] is None:
+            raise SeparabilityError(
+                "two or more fitted models have non-separable point sets; "
+                "expected at most one (the default)"
+            )
         default_idx = inseparable[0]
-    else:
-        # Every point set is separable; make the best-supported model the
-        # default so the piece areas stay as small as possible.
-        default_idx = int(np.argmax((fits & unique[:, None]).sum(axis=0)))
-    piece_order = [fi for fi in range(len(F)) if fi != default_idx]
-    pieces = [(F[fi], areas[fi]) for fi in piece_order]
+    pieces = [(F[fi], areas[fi]) for fi in range(len(F)) if fi != default_idx]
 
     # Points fitting two or more models: those fitting the default stay in
     # the default region; those inside an existing piece area are already
@@ -442,62 +443,44 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
 
 
 def cas2(data: Dataset, config: FitConfig) -> CalfModel:
-    """Two-function solver: one sampled fit splits the data, areas decide roles.
+    """Two-function solver: one sampled fit and the fit of its complement.
 
     Samples until a fit passes the draw gates (full rank, y not flat on
-    the sample, support), splits points into the fitting set and its
-    complement (dropping points fitting both), and keeps whichever side
-    admits a convex area: that side becomes the single piece and the
-    other model the default.  Mixed samples, and draws on which the
-    separator fails, are redrawn under the same budget as cas_calr.
+    the sample, support), fits the points outside its fitting set, refits
+    that second model on its own within-eps rows and holds it to the same
+    support floor, then assembles the pair as cas_calr assembles its
+    accepted models: the better-supported model is the default unless the
+    other's own point set admits no convex area.  Draws whose pair does
+    not assemble, separator failures included, are redrawn under the same
+    budget as cas_calr.
     """
     if config.m != 1:
         raise InputError("this solver handles exactly one piece (m=1)")
     sampler = _Sampler(data, config)
-    d = data.d
     X, y = data.X, data.y
-    neither_separable = 0
     while not sampler.exhausted:
         drawn = sampler.draw(X, y)
         if drawn is None:
             continue
         f1, fits1 = drawn
-        # The support gate already holds fits1 to at least d+2 points.
-        if int((~fits1).sum()) < d + 2:
+        if int((~fits1).sum()) < data.d + 2:
             continue
-        f2 = _ols(X[~fits1], y[~fits1])
-        fits2 = np.abs(y - f2.predict_batch(X)) < sampler.eps
-        both = fits1 & fits2
-        d1 = fits1 & ~both
-        d2 = ~fits1
-        universe = np.flatnonzero(~both)
-        if not d1.any():
+        settled = sampler.settle(X, y, _ols(X[~fits1], y[~fits1]))
+        if settled is None:
             continue
+        F = [f1, settled[0]]
         try:
-            area1 = sampler.separate(X[universe], d1[universe])
-            area2 = None if area1 is not None else sampler.separate(X[universe], d2[universe])
-        except ConvergenceError:
+            model = _assemble(data, F, sampler.eps, sampler.separate)
+        except (SeparabilityError, ConvergenceError):
             continue
-        if area1 is not None:
-            piece, default, branch = (f1, area1), f2, "piece_area"
-        elif area2 is not None:
-            piece, default, branch = (f2, area2), f1, "complement_area"
-        else:
-            neither_separable += 1
-            continue
-        model = CalfModel(default=default, pieces=(piece,))
         model.fit_info = {
             "samples_used": sampler.draws,
             "epsilon": sampler.eps,
             "algorithm": "cas2",
-            "branch": branch,
+            # _assemble refits F in place, so the default is one of its entries.
+            "branch": "complement_area" if model.default is F[0] else "piece_area",
         }
         return model
-    if neither_separable:
-        raise SeparabilityError(
-            f"neither point set was separable in {neither_separable} of "
-            f"{sampler.draws} attempts; the data does not look one-piece separable"
-        )
     raise BudgetExhaustedError(
         f"no acceptable split found in {sampler.draws} draws",
         partial_models=[],
@@ -627,7 +610,7 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
             if sse >= stop:
                 break  # remaining candidates cannot beat the zero-piece model
             area = cac(X, masks[i])
-            if area is not None and int(area.contains_batch(X).sum()) == int(masks[i].sum()):
+            if area is not None:
                 return CalfModel(default=f_out, pieces=((f_in, area),))
             continue
         if floor >= stop:

@@ -30,11 +30,10 @@ ConvergenceError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DimensionMismatchError, InputError
+from .exceptions import ConvergenceError, DimensionMismatchError, InputError, as_points
 
 GEO_TOL_SCALE = 1e-9
 HULL_TOL = 1e-9
@@ -42,6 +41,10 @@ _OUTSIDE_MARGIN = 1e-6
 SVM_C_DEFAULT = 1e3
 SVM_MAX_ITER = 100_000
 _DIVERGENCE_NORM = 1e14
+# gslp's reflection cap, per row and coordinate of its point set.
+_GSLP_REFLECTIONS = 100
+# Box bound on each weight of the exact separation LP.
+_SEPARATION_LP_BOUND = 1e12
 
 
 def tol_geo(x) -> float:
@@ -81,18 +84,13 @@ class HalfSpace:
         return self.alpha.size
 
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise DimensionMismatchError(
-                f"expected dimension {self.d}, got shape {x.shape}"
-            )
-        return float(self.alpha @ x + self.gamma)
+        return float(self.values_batch(np.asarray(x, dtype=float)[None])[0])
 
     def contains(self, x) -> bool:
         return self.value(x) <= tol_geo(x)
 
-    def values_batch(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.alpha + self.gamma
+    def values_batch(self, X) -> np.ndarray:
+        return as_points(X, self.d) @ self.alpha + self.gamma
 
     def flipped(self) -> "HalfSpace":
         return HalfSpace(alpha=-self.alpha, gamma=-self.gamma)
@@ -124,13 +122,10 @@ class ConvexArea:
         return self.halfspaces[0].d if self.halfspaces else None
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self.d is not None and x.shape != (self.d,):
-            raise DimensionMismatchError(f"expected dimension {self.d}, got shape {x.shape}")
-        return bool(self.contains_batch(x.reshape(1, -1))[0])
+        return bool(self.contains_batch(np.asarray(x, dtype=float)[None])[0])
 
-    def contains_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+    def contains_batch(self, X) -> np.ndarray:
+        X = as_points(X, self.d)
         mask = np.ones(len(X), dtype=bool)
         if not self.halfspaces or len(X) == 0:
             return mask
@@ -162,7 +157,7 @@ def _point_and_set(x0, points):
     return x0, P
 
 
-def point_in_hull(x0, points, tol: float = HULL_TOL) -> bool:
+def point_in_hull(x0, points) -> bool:
     """LP feasibility of x0 = sum(lam_i p_i), sum(lam) = 1, lam >= 0.
 
     The rows are posed as p_i - x0 with right-hand side 0: at |x| ~ 1e8
@@ -182,8 +177,8 @@ def point_in_hull(x0, points, tol: float = HULL_TOL) -> bool:
         bounds=[(0.0, None)] * n,
         method="highs",
         options={
-            "primal_feasibility_tolerance": tol,
-            "dual_feasibility_tolerance": tol,
+            "primal_feasibility_tolerance": HULL_TOL,
+            "dual_feasibility_tolerance": HULL_TOL,
         },
     )
     return bool(res.status == 0)
@@ -264,7 +259,7 @@ def _certified_inside(x0, P):
     return None
 
 
-def gslp(x0, points, max_iter: int | None = None):
+def gslp(x0, points):
     """Search a plane strictly separating x0 from a point set.
 
     Solves w.(x_i - x0) <= -1 for all i by relaxation: repeated projection
@@ -273,14 +268,14 @@ def gslp(x0, points, max_iter: int | None = None):
     half-space puts its boundary at the margin midpoint, so the set lies
     inside (values <= -1/2) and x0 strictly outside (value +1/2).  Returns
     None at once when _certified_inside proves x0 in the set's hull, and
-    otherwise when the iteration cap (default 100*n*d reflections) or the
+    otherwise when the iteration cap (100*n*d reflections) or the
     divergence guard is hit before all constraints hold.  No LP is used.
     """
     x0, P = _point_and_set(x0, points)
     if _certified_inside(x0, P):
         return None
     n, d = P.shape
-    return _gslp_reflect(x0, P, 100 * n * d if max_iter is None else max_iter)
+    return _gslp_reflect(x0, P, _GSLP_REFLECTIONS * n * d)
 
 
 def _gslp_reflect(x0, P, max_iter):
@@ -426,7 +421,7 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
 # ---- convex area construction ----
 
 
-def _separation_lp(u, D, bound: float = 1e12):
+def _separation_lp(u, D):
     """Exact LP for w.(x_i - u) <= -1: the plane gslp searches for.
 
     Solves the same unit-margin system with the LP solver; points barely
@@ -442,7 +437,7 @@ def _separation_lp(u, D, bound: float = 1e12):
         c=np.zeros(D.shape[1]),
         A_ub=A_ub,
         b_ub=-np.ones(n),
-        bounds=[(-bound, bound)] * D.shape[1],
+        bounds=[(-_SEPARATION_LP_BOUND, _SEPARATION_LP_BOUND)] * D.shape[1],
         method="highs",
     )
     if res.status != 0:
@@ -464,17 +459,18 @@ def _gslp_attempt(u, D, thorough):
     return _gslp_reflect(u, D, (1000 if thorough else 1) * n * d)
 
 
-def _svm_attempt(u, D, thorough, c):
+def _svm_attempt(u, D, thorough):
     """svm_soft plane with no point of D on u's side, else None.
 
-    The quick attempt runs 5000 iterations; the thorough one gets the full
-    budget and a 1000 times harder penalty so the margin beats the slack.
+    The quick attempt runs 5000 iterations at the default penalty; the
+    thorough one gets the full budget and a 1000 times harder penalty so
+    the margin beats the slack.
     """
     try:
         if thorough:
-            h = svm_soft(D, u[None, :], c=c * 1e3)
+            h = svm_soft(D, u[None, :], c=SVM_C_DEFAULT * 1e3)
         else:
-            h = svm_soft(D, u[None, :], c=c, max_iter=5000)
+            h = svm_soft(D, u[None, :], max_iter=5000)
     except ConvergenceError:
         return None
     if np.any(h.values_batch(D) * h.value(u) > 0.0):
@@ -563,10 +559,10 @@ def cac(points, inside):
     return _construct_area(points, inside, _gslp_attempt)
 
 
-def cacs(points, inside, c: float = SVM_C_DEFAULT):
+def cacs(points, inside):
     """Same contract as cac with planes from the soft-margin solver.
 
-    The quick step runs svm_soft for 5000 iterations at penalty c, the
-    thorough one for its full budget at 1000 * c.
+    The quick step runs svm_soft for 5000 iterations at its default
+    penalty, the thorough one for its full budget at 1000 times that.
     """
-    return _construct_area(points, inside, partial(_svm_attempt, c=c))
+    return _construct_area(points, inside, _svm_attempt)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DimensionMismatchError, InputError
+from .exceptions import ConvergenceError, DimensionMismatchError, InputError, as_points
 
 if TYPE_CHECKING:
     from .dataset import Dataset
@@ -58,19 +58,10 @@ class LinearModel:
         return self.coeffs.size - 1
 
     def predict(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise DimensionMismatchError(
-                f"expected a point of dimension {self.d}, got shape {x.shape}"
-            )
-        return float(self.coeffs[0] + x @ self.coeffs[1:])
+        return float(self.predict_batch(np.asarray(x, dtype=float)[None])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise DimensionMismatchError(
-                f"expected points of dimension {self.d}, got shape {X.shape}"
-            )
+        X = as_points(X, self.d)
         return self.coeffs[0] + X @ self.coeffs[1:]
 
     def __eq__(self, other):

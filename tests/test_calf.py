@@ -2,17 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from calr.calf import (
-    CalfModel,
-    PldcSpec,
-    decide_calr,
-    overlapping_training_points,
-    pldc_to_calf,
-    predict,
-)
-from calr.dataset import Dataset
+from calr.calf import CalfModel, PldcSpec, overlapping_training_points, pldc_to_calf
 from calr.exceptions import DimensionMismatchError, InputError
 from calr.geometry import ConvexArea, HalfSpace
 from calr.linreg import LinearModel
@@ -60,7 +55,7 @@ def test_two_piece_model_evaluates_each_region():
     for xy, (region, value) in probes.items():
         x = np.array(xy)
         assert model.piece_index(x) == region
-        assert predict(model, x) == pytest.approx(value, abs=1e-12)
+        assert model.predict(x) == pytest.approx(value, abs=1e-12)
     X = np.array([list(k) for k in probes])
     assert model.assign_batch(X).tolist() == [v[0] for v in probes.values()]
     assert_allclose(model.predict_batch(X), [v[1] for v in probes.values()], atol=1e-12)
@@ -78,9 +73,9 @@ def test_lowest_indexed_piece_wins_on_overlap():
     x = np.array([0.5])
     assert right.contains(x) and wide.contains(x)
     assert model.piece_index(x) == 1
-    assert predict(model, x) == 10.0
-    assert predict(model, np.array([-0.5])) == 20.0
-    assert predict(model, np.array([-2.0])) == 0.0
+    assert model.predict(x) == 10.0
+    assert model.predict(np.array([-0.5])) == 20.0
+    assert model.predict(np.array([-2.0])) == 0.0
     assert model.assign_batch(np.array([[0.5], [-0.5], [-2.0]])).tolist() == [1, 2, 0]
     overlap = overlapping_training_points(model, np.array([[0.5], [-2.0]]))
     assert overlap.tolist() == [0]
@@ -107,6 +102,50 @@ def test_batch_matches_pointwise_on_random_model():
     assert model.assign_batch(X).tolist() == reference
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_pointwise_and_batch_evaluation_agree_on_random_models(draw):
+    # Coefficients and probes on a half-integer grid put probes exactly on
+    # area boundaries, where the tolerant membership test decides.
+    d = draw.draw(st.integers(1, 3), label="d")
+    grid = st.integers(-6, 6).map(lambda k: k / 2.0)
+
+    def halfspace():
+        alpha = draw.draw(arrays(float, d, elements=grid), label="alpha")
+        assume(np.any(alpha != 0.0))
+        return HalfSpace(alpha=alpha, gamma=draw.draw(grid, label="gamma"))
+
+    def linear():
+        return LinearModel(coeffs=draw.draw(arrays(float, d + 1, elements=grid), label="coeffs"))
+
+    pieces = tuple(
+        (linear(), ConvexArea(tuple(halfspace() for _ in range(draw.draw(st.integers(0, 3))))))
+        for _ in range(draw.draw(st.integers(0, 3), label="pieces"))
+    )
+    model = CalfModel(default=linear(), pieces=pieces)
+    k = draw.draw(st.integers(1, 12), label="probes")
+    X = draw.draw(arrays(float, (k, d), elements=grid), label="X")
+    assert [model.piece_index(x) for x in X] == model.assign_batch(X).tolist()
+    assert [model.predict(x) for x in X] == model.predict_batch(X).tolist()
+
+
+def test_batch_and_scalar_methods_reject_misshapen_points():
+    h = _hs([1.0, -1.0], 0.5)
+    model = two_piece_model()
+    area = ConvexArea((h,))
+    spec = PldcSpec(plus_terms=(([1.0, 0.0], 0.0),), minus_terms=(([0.0, 1.0], 0.0),))
+    for method in (model.default.predict_batch, model.predict_batch, model.assign_batch,
+                   area.contains_batch, h.values_batch):
+        for bad in (np.zeros((4, 3)), np.zeros(2), [[1.0], [2.0]]):
+            with pytest.raises(DimensionMismatchError):
+                method(bad)
+    for method in (model.default.predict, model.predict, model.piece_index,
+                   area.contains, h.value, h.contains, spec.evaluate):
+        for bad in (np.zeros(3), np.zeros((1, 2)), 1.0):
+            with pytest.raises(DimensionMismatchError):
+                method(bad)
+
+
 def test_model_construction_errors():
     f2 = LinearModel(coeffs=np.zeros(3))
     area1 = ConvexArea(halfspaces=(_hs([1.0], 0.0),))
@@ -128,18 +167,8 @@ def test_prediction_can_jump_across_a_boundary():
         default=LinearModel(coeffs=np.zeros(2)),
         pieces=((LinearModel(coeffs=np.array([1.0, 0.0])), ConvexArea((_hs([-1.0], 0.0),))),),
     )
-    assert predict(step, np.array([0.001])) == 1.0
-    assert predict(step, np.array([-0.001])) == 0.0
-
-
-def test_decide_calr_uses_a_strict_bound():
-    X = np.array([[0.0], [1.0], [2.0]])
-    data = Dataset(X=X, y=np.array([1.0, 1.0, 4.0]))
-    model = CalfModel(default=LinearModel(coeffs=np.array([1.0, 0.0])))
-    # Residuals are 0, 0, 3; the mean squared error is exactly 3.
-    assert decide_calr(data, model, 3.0001)
-    assert not decide_calr(data, model, 3.0)
-    assert not decide_calr(data, model, 2.9)
+    assert step.predict(np.array([0.001])) == 1.0
+    assert step.predict(np.array([-0.001])) == 0.0
 
 
 def test_absolute_value_as_difference_of_maxes():
@@ -151,7 +180,7 @@ def test_absolute_value_as_difference_of_maxes():
     assert spec.evaluate(np.array([-2.5])) == 2.5
     model = pldc_to_calf(spec)
     for x in np.linspace(-4.0, 4.0, 17):
-        assert predict(model, np.array([x])) == pytest.approx(abs(x), abs=1e-12)
+        assert model.predict(np.array([x])) == pytest.approx(abs(x), abs=1e-12)
 
 
 def test_random_specs_match_direct_evaluation():
@@ -176,7 +205,7 @@ def test_dominated_terms_produce_no_pieces():
     model = pldc_to_calf(spec)
     assert model.m == 1  # the lower parallel term never attains the max
     for x in (-3.0, 0.0, 3.0):
-        assert predict(model, np.array([x])) == pytest.approx(x + 2.0, abs=1e-12)
+        assert model.predict(np.array([x])) == pytest.approx(x + 2.0, abs=1e-12)
 
 
 def test_pldc_validation_errors():

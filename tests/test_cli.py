@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from calr.calf import CalfModel
 from calr.dataset import Dataset, load_csv, write_csv
-from calr.linreg import mse
+from calr.linreg import LinearModel, mse
 from calr.mip import load_mip
-from calr.model_io import load_model
+from calr.model_io import load_model, save_model
 
 
 def run_cli(*args, cwd=None):
@@ -74,6 +75,18 @@ def test_fit_eval_round_trip_matches_the_library(tmp_path):
     assert "decision (mse < 1.0): PASS" in r.stdout
     r = run_cli("eval", "--model", m1, "--data", data_path, "--bound", 1e-12)
     assert "decision (mse < 1e-12): FAIL" in r.stdout
+
+
+def test_eval_bound_is_strict(tmp_path):
+    data_path, model_path = tmp_path / "data.csv", tmp_path / "model.json"
+    # Residuals are 0, 0, 3; the mean squared error is exactly 3.
+    write_csv(Dataset(X=np.array([[0.0], [1.0], [2.0]]), y=np.array([1.0, 1.0, 4.0])), data_path)
+    save_model(CalfModel(default=LinearModel(coeffs=np.array([1.0, 0.0]))), model_path)
+    for bound, verdict in ((3.0001, "PASS"), (3.0, "FAIL"), (2.9, "FAIL")):
+        r = run_cli("eval", "--model", model_path, "--data", data_path, "--bound", bound)
+        assert r.returncode == 0, r.stderr
+        assert "mse: 3.0" in r.stdout.splitlines()
+        assert f"decision (mse < {bound!r}): {verdict}" in r.stdout
 
 
 def test_fit_exhaustion_exits_2_and_writes_the_fallback(tmp_path):

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from calr.calf import CalfModel, overlapping_training_points, predict
+from calr.calf import CalfModel, overlapping_training_points
 from calr.dataset import Dataset, generate_separable
 from calr import fitting, geometry
 from calr.exceptions import (
     BudgetExhaustedError,
     ConvergenceError,
+    FitDiagnostic,
     InputError,
     SeparabilityError,
 )
@@ -109,10 +110,10 @@ def test_naive_solver_recovers_a_plateau():
     assert_allclose(model.default.coeffs, [0.0, 1.0], atol=1e-9)
     for v in (10.0, 11.0, 12.0):
         assert piece_area.contains(np.array([v]))
-        assert predict(model, np.array([v])) == pytest.approx(5.0, abs=1e-9)
+        assert model.predict(np.array([v])) == pytest.approx(5.0, abs=1e-9)
     for v in (0.0, 3.0):
         assert not piece_area.contains(np.array([v]))
-        assert predict(model, np.array([v])) == pytest.approx(v, abs=1e-9)
+        assert model.predict(np.array([v])) == pytest.approx(v, abs=1e-9)
     assert mse(model, data) <= 1e-18
 
 
@@ -570,6 +571,59 @@ def test_two_function_solver_uses_the_complement_when_needed():
     assert not piece_area.contains_batch(outer).any()
     assert_allclose(model.pieces[0][0].coeffs, [10.0, 0.0], atol=1e-9)
     assert_allclose(model.default.coeffs, [0.0, 1.0], atol=1e-9)
+
+
+def test_two_function_solver_holds_the_complement_fit_to_the_support_floor():
+    # Some draws here leave a complement whose fit covers only a few rows
+    # within eps; assembled anyway, such a pair gave a model with MSE 5.75.
+    sigma = 0.01
+    data, _ = generate_separable(500, 2, 1, sigma, 1.0, seed=9)
+    try:
+        model = cas2(data, FitConfig(m=1, seed=509))
+    except FitDiagnostic:
+        return
+    assert mse(model, data) <= 4 * sigma**2
+
+
+def test_assembly_separates_only_the_pieces_when_all_are_separable(monkeypatch):
+    # The best-supported model becomes the default, and its own point set
+    # needs an area only when some other model's set is inseparable.
+    real_assemble = fitting._assemble
+    sizes, calls = [], []
+
+    def spy_assemble(data, F, eps, separate):
+        def spy(points, inside):
+            calls.append(len(points))
+            return separate(points, inside)
+
+        sizes.append(len(F))
+        return real_assemble(data, F, eps, spy)
+
+    monkeypatch.setattr(fitting, "_assemble", spy_assemble)
+    data, _ = generate_separable(500, 2, 2, 0.01, 1.0, seed=0)
+    model = cas_calr(data, FitConfig(m=2, seed=1000))
+    assert model.m == 2
+    assert sizes == [3]
+    assert len(calls) == sizes[0] - 1
+
+
+@pytest.mark.parametrize("case", ["constant feature", "collinear features", "constant y"])
+def test_sampling_solver_raises_a_diagnostic_on_degenerate_inputs(case):
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-5.0, 5.0, size=(200, 2))
+    y = 2.0 * X[:, 0] + 1.0 + 3.0 * (X[:, 0] > 0.0)
+    if case == "constant feature":
+        X[:, 1] = 3.0
+    elif case == "collinear features":
+        X[:, 1] = 2.0 * X[:, 0] - 1.0
+    else:
+        y = np.full(200, 4.0)
+    data = Dataset(X=X, y=y)
+    with pytest.raises(FitDiagnostic) as err:
+        cas_calr(data, FitConfig(m=1, max_samples=50))
+    fallback = getattr(err.value, "fallback", None)
+    if fallback is not None:
+        assert fallback.default == lr(data)
 
 
 def test_two_function_solver_input_errors():

@@ -516,7 +516,7 @@ def test_area_construction_raises_when_no_step_separates_an_outside_point(monkey
     inside = np.array([True, True, False, False])
     assert not point_in_hull(points[3], points[inside])
     monkeypatch.setattr(geometry, "_gslp_attempt", lambda u, D, thorough: None)
-    monkeypatch.setattr(geometry, "_svm_attempt", lambda u, D, thorough, c: None)
+    monkeypatch.setattr(geometry, "_svm_attempt", lambda u, D, thorough: None)
     monkeypatch.setattr(geometry, "_separation_lp", lambda u, D: None)
     for separate in (cac, cacs):
         with pytest.raises(ConvergenceError):

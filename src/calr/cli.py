@@ -146,8 +146,6 @@ def _emit_report(text: str, path) -> None:
 
 
 def cmd_fit(args) -> int:
-    if args.algo == "cas2" and args.m != 1:
-        raise InputError("cas2 fits exactly one piece; use --m 1")
     data = load_csv(args.data, target_column=args.target_column)
     if args.algo == "naive":
         model = naive_calr(data, cap=args.cap)
@@ -166,17 +164,13 @@ def cmd_fit(args) -> int:
     try:
         model = solver(data, config)
     except BudgetExhaustedError as exc:
-        fallback = exc.fallback
-        if fallback is not None and args.out:
-            save_model(fallback, args.out)
+        if args.out:
+            save_model(exc.fallback, args.out)
         status = (
             f"budget exhausted after {exc.samples_used} draws with "
             f"{len(exc.partial_models)} accepted model(s); wrote the global fallback fit"
         )
-        if fallback is not None:
-            _emit_report(_fit_report(fallback, data, status), args.report)
-        else:
-            _emit_report(f"status: {status}", args.report)
+        _emit_report(_fit_report(exc.fallback, data, status), args.report)
         return 2
     save_model(model, args.out)
     _emit_report(_fit_report(model, data, "ok"), args.report)

@@ -12,13 +12,15 @@ Three solution paths live here:
 * cas2: a two-function variant: one sampled fit and the fit of its
   complement, assembled as cas_calr assembles its accepted models.
 
-Both sampling solvers share one _Sampler: its setup, its local proposals
-(an anchor row and d of its nearest neighbours, NAPSAC-style) and its
-draw gates, all settled by one SVD of the sample.  The barycentric
-simplex test decides separability exactly, so cas_calr's sampling needs
-no separator.  A candidate is refitted on its within-eps rows until that
-row set stops changing, and so is every accepted model at assembly, on
-the rows it alone fits.
+Both sampling solvers run one loop, _sample (RANSAC's hypothesize and
+verify), and differ only in how an attempt proposes its models.  They
+share one _Sampler: its setup, its local proposals (an anchor row and d
+of its nearest neighbours, NAPSAC-style) and its draw gates, all settled
+by one SVD of the sample.  The barycentric simplex test decides
+separability exactly, so cas_calr's sampling needs no separator.  One
+refit loop, _refit_within, refits a candidate on its within-eps rows
+until that row set stops changing, and every proposed model at assembly
+on the rows it alone fits.
 
 All randomness goes through numpy's default PCG64 generator seeded from
 the config, so fits are deterministic per (data, config).
@@ -29,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 
 import numpy as np
 
@@ -129,23 +131,30 @@ def _auto_epsilon(X, y, rng) -> float:
     return max(_EPS_MULTIPLIER * _local_scale(X, y, rng), _epsilon_floor(y))
 
 
-def _refit_within(X, y, f, eps):
-    """Refit on the rows with residual < eps until that row set stops changing.
+def _within(X, y, F, eps):
+    """Rows of (X, y) with residual < eps under each model of F: one mask row per model."""
+    return np.array([np.abs(y - f.predict_batch(X)) < eps for f in F])
 
-    Returns the last model and its within-eps mask.  Unless the set falls
-    below d+2 rows or _REFIT_CAP refits run out (a cycling set), the
-    model is the fit of exactly its own within-eps rows.
+
+def _refit_within(X, y, F, eps):
+    """Refit each model of F on the rows only it fits until those rows settle.
+
+    F is refitted in place; returns the within-eps masks of its last
+    models.  A model with fewer than d+2 rows of its own keeps its fit.
+    Unless _REFIT_CAP refits run out (a cycling set), each other model is
+    the fit of exactly its own rows.
     """
     d = X.shape[1]
-    fits = np.abs(y - f.predict_batch(X)) < eps
+    fits = _within(X, y, F, eps)
     for _ in range(_REFIT_CAP):
-        if int(fits.sum()) < d + 2:
-            break
-        f = _ols(X[fits], y[fits])
-        fits, before = np.abs(y - f.predict_batch(X)) < eps, fits
+        own = fits & (fits.sum(axis=0) == 1)
+        for i, rows in enumerate(own):
+            if int(rows.sum()) >= d + 2:
+                F[i] = _ols(X[rows], y[rows])
+        fits, before = _within(X, y, F, eps), fits
         if np.array_equal(fits, before):
             break
-    return f, fits
+    return fits
 
 
 def _interpolant(S, ys, rest=None, own=None):
@@ -178,7 +187,7 @@ def _interpolant(S, ys, rest=None, own=None):
             inside[own] = False
         if np.any(inside):
             return None
-    return LinearModel(coeffs=beta, mse=sse / k, p_value=0.0, n_fit=k)
+    return LinearModel(coeffs=beta, mse=sse / k, p_value=0.0)
 
 
 class _Sampler:
@@ -237,10 +246,11 @@ class _Sampler:
         and n / (4(m+1)) for the n rows of X.
         """
         n, d = X.shape
-        f, fits = _refit_within(X, y, f, self.eps)
+        F = [f]
+        fits = _refit_within(X, y, F, self.eps)[0]
         if int(fits.sum()) < max(d + 2, n // (_SUPPORT_SHARE * (self.m + 1))):
             return None
-        return f, fits
+        return F[0], fits
 
 
 def post(H_partial, leftovers: Dataset, epsilon: float, exclude=None, separate=cac):
@@ -256,16 +266,14 @@ def post(H_partial, leftovers: Dataset, epsilon: float, exclude=None, separate=c
         return []
     models = [f for f, _ in H_partial]
     X, y = leftovers.X, leftovers.y
-    fits = np.column_stack(
-        [np.abs(y - f.predict_batch(X)) < epsilon for f in models]
-    )
+    fits = _within(X, y, models, epsilon)
     exclude = (
         np.zeros((0, leftovers.d)) if exclude is None else np.asarray(exclude, dtype=float)
     )
     unassigned = np.ones(leftovers.n, dtype=bool)
     new_pairs = []
     for i, j in combinations(range(len(models)), 2):
-        pair_mask = unassigned & fits[:, i] & fits[:, j]
+        pair_mask = unassigned & fits[i] & fits[j]
         if not np.any(pair_mask):
             continue
         others = np.flatnonzero(unassigned & ~pair_mask)
@@ -291,40 +299,33 @@ def _global_model(data: Dataset) -> CalfModel:
 
 
 def _assemble(data, F, eps, separate):
-    """Turn accepted models into a model whose piece areas share no training point."""
+    """Turn proposed models into a model whose piece areas share no training point.
+
+    F is refitted in place, so the returned model's functions are its entries.
+    """
     X, y = data.X, data.y
     n = data.n
-    fits = np.column_stack([np.abs(y - f.predict_batch(X)) < eps for f in F])
-    counts = fits.sum(axis=1)
-    unique = counts == 1
+    unique = _within(X, y, F, eps).sum(axis=0) == 1
     if int(unique.sum()) < n // 2:
         # On separable data nearly every point fits exactly one model; an
         # eps blown up by a bad acceptance floods the overlap instead.
         raise SeparabilityError(
             f"only {int(unique.sum())} of {n} points fit exactly one model"
         )
-    # Refit every model on the points fitting it alone until those point
-    # sets settle.  Where two models run within eps of each other, one was
-    # accepted off a refit that also swallowed a strip of the other's
-    # points; a model grown from a band of its piece plus a few far points
-    # of another region sheds them here and regrows over its whole piece.
-    for _ in range(_REFIT_CAP):
-        for fi in range(len(F)):
-            own = np.flatnonzero(unique & fits[:, fi])
-            if len(own) >= data.d + 2:
-                F[fi] = _ols(X[own], y[own])
-        fits, before = np.column_stack([np.abs(y - f.predict_batch(X)) < eps for f in F]), fits
-        counts = fits.sum(axis=1)
-        unique = counts == 1
-        if np.array_equal(fits, before):
-            break
+    # Where two models run within eps of each other, one was accepted off
+    # a refit that also swallowed a strip of the other's points; a model
+    # grown from a band of its piece plus a few far points of another
+    # region sheds them in the refit and regrows over its whole piece.
+    fits = _refit_within(X, y, F, eps)
+    counts = fits.sum(axis=0)
+    unique = counts == 1
     # The best-supported model is the default unless another model's own
     # point set is inseparable; its own set is separated only in that case.
-    default_idx = int(np.argmax((fits & unique[:, None]).sum(axis=0)))
+    default_idx = int(np.argmax((fits & unique).sum(axis=1)))
     uni_idx = np.flatnonzero(unique)
 
     def area_of(fi):
-        own = unique & fits[:, fi]
+        own = unique & fits[fi]
         return separate(X[uni_idx], own[uni_idx]) if np.any(own) else None
 
     areas = {fi: area_of(fi) for fi in range(len(F)) if fi != default_idx}
@@ -342,7 +343,7 @@ def _assemble(data, F, eps, separate):
     # Points fitting two or more models: those fitting the default stay in
     # the default region; those inside an existing piece area are already
     # predicted consistently; the rest get strip areas of their own.
-    leftovers = (counts >= 2) & ~fits[:, default_idx]
+    leftovers = (counts >= 2) & ~fits[default_idx]
     strip_idx = np.flatnonzero(leftovers)
     if len(strip_idx) and pieces:
         covered = np.zeros(len(strip_idx), dtype=bool)
@@ -367,38 +368,70 @@ def _assemble(data, F, eps, separate):
     return model
 
 
+def _sample(data, config, propose):
+    """The sampling loop shared by cas_calr and cas2: propose models, then assemble them.
+
+    Each attempt calls propose(sampler) once for a list of models.  A list
+    of m+1 goes to _assemble; a shorter list, or an assembly that fails (a
+    separator failure counts as that), starts the next attempt on the same
+    draw budget.  Returns the model, with the shared fit_info keys, and the
+    list it was assembled from, refitted in place.  Raises
+    BudgetExhaustedError (carrying the longest list proposed and a
+    global-fit fallback) when the budget runs out.
+    """
+    sampler = _Sampler(data, config)
+    target = config.m + 1
+    longest = []
+    for attempts in count(1):
+        F = propose(sampler)
+        if len(F) > len(longest):
+            longest = list(F)
+        if len(F) == target:
+            try:
+                model = _assemble(data, F, sampler.eps, sampler.separate)
+            except (SeparabilityError, ConvergenceError):
+                pass
+            else:
+                model.fit_info = {
+                    "samples_used": sampler.draws, "epsilon": sampler.eps, "attempts": attempts
+                }
+                return model, F
+        if sampler.exhausted:
+            raise BudgetExhaustedError(
+                f"no assembly of {target} models within {sampler.draws} draws "
+                f"({attempts} attempts)",
+                partial_models=longest,
+                samples_used=sampler.draws,
+                fallback=_global_model(data),
+            )
+
+
 def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
     """Sampling solver: find m piece models plus a default, then carve areas.
 
-    Draws d+1-point subsets of the residual set, each a uniform anchor
-    plus d of its 3(d+1) nearest residual rows, refits the interpolant on
-    its within-eps rows until they stop changing, and accepts a candidate
-    that passes the draw gates (full rank; y not flat on the sample, the
-    F-test on d+1 points; no other residual point in the sample simplex,
-    exactly separability from the rest; enough fitting points) and sits
-    at coefficient distance >= delta from every earlier acceptance; each
-    acceptance shrinks the residual set.  With epsilon="auto" the fitting
+    Each attempt draws d+1-point subsets of the residual set, each a
+    uniform anchor plus d of its 3(d+1) nearest residual rows, refits the
+    interpolant on its within-eps rows until they stop changing, and
+    accepts a candidate that passes the draw gates (full rank; y not flat
+    on the sample, the F-test on d+1 points; no other residual point in
+    the sample simplex, exactly separability from the rest; enough fitting
+    points) and sits at coefficient distance >= delta from every earlier
+    acceptance; each acceptance shrinks the residual set.  An attempt ends
+    with m+1 acceptances, a residual set run dry or the budget spent, and
+    _sample assembles or retries.  With epsilon="auto" the fitting
     tolerance comes from a nearest-neighbor noise estimate made before
-    sampling.  If the residual set runs dry early, or the accepted models
-    cannot be assembled into disjoint areas (a separator failure counts
-    as that), the search starts over on the same draw budget.  Raises
-    BudgetExhaustedError (carrying the largest partial model list and a
-    global-fit fallback) when the budget runs out.
+    sampling.
     """
     if config.m == 0:
         model = _global_model(data)
         model.fit_info = {"samples_used": 0, "epsilon": None, "algorithm": "cas"}
         return model
-    sampler = _Sampler(data, config)
-    n, d = data.n, data.d
-    X, y = data.X, data.y
+    X, y, d = data.X, data.y, data.d
     target = config.m + 1
-    remaining = np.arange(n)
-    accepted = []
-    best_partial = []
-    attempts = 1
-    model = None
-    while model is None:
+
+    def propose(sampler):
+        remaining = np.arange(data.n)
+        accepted = []
         # The residual rows change only on an acceptance; draws share them.
         X_rest, y_rest = X[remaining], y[remaining]
         A_rest = np.column_stack([np.ones(len(remaining)), X_rest])
@@ -413,80 +446,42 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
             remaining = remaining[~fits]
             X_rest, y_rest = X[remaining], y[remaining]
             A_rest = np.column_stack([np.ones(len(remaining)), X_rest])
-        if len(accepted) > len(best_partial):
-            best_partial = list(accepted)
-        if len(accepted) == target:
-            try:
-                model = _assemble(data, accepted, sampler.eps, sampler.separate)
-            except (SeparabilityError, ConvergenceError):
-                model = None
-        if model is None:
-            if sampler.exhausted:
-                raise BudgetExhaustedError(
-                    f"no assembly of {target} models within {sampler.draws} draws "
-                    f"({attempts} attempts)",
-                    partial_models=best_partial,
-                    samples_used=sampler.draws,
-                    fallback=_global_model(data),
-                )
-            attempts += 1
-            remaining = np.arange(n)
-            accepted = []
-    model.fit_info = {
-        "samples_used": sampler.draws,
-        "epsilon": sampler.eps,
-        "algorithm": "cas",
-        "attempts": attempts,
-        "accepted_p_values": [f.p_value for f in accepted],
-    }
+        return accepted
+
+    model, F = _sample(data, config, propose)
+    model.fit_info.update(algorithm="cas", accepted_p_values=[f.p_value for f in F])
     return model
 
 
 def cas2(data: Dataset, config: FitConfig) -> CalfModel:
     """Two-function solver: one sampled fit and the fit of its complement.
 
-    Samples until a fit passes the draw gates (full rank, y not flat on
-    the sample, support), fits the points outside its fitting set, refits
-    that second model on its own within-eps rows and holds it to the same
-    support floor, then assembles the pair as cas_calr assembles its
-    accepted models: the better-supported model is the default unless the
-    other's own point set admits no convex area.  Draws whose pair does
-    not assemble, separator failures included, are redrawn under the same
-    budget as cas_calr.
+    Each attempt is one draw passing the draw gates (full rank, y not flat
+    on the sample, support) and the fit of the points outside its fitting
+    set, refitted on its own within-eps rows and held to the same support
+    floor.  _sample assembles the pair as it assembles cas_calr's
+    acceptances: the better-supported model is the default unless the
+    other's own point set admits no convex area.
     """
     if config.m != 1:
         raise InputError("this solver handles exactly one piece (m=1)")
-    sampler = _Sampler(data, config)
     X, y = data.X, data.y
-    while not sampler.exhausted:
+
+    def propose(sampler):
         drawn = sampler.draw(X, y)
         if drawn is None:
-            continue
+            return []
         f1, fits1 = drawn
         if int((~fits1).sum()) < data.d + 2:
-            continue
+            return [f1]
         settled = sampler.settle(X, y, _ols(X[~fits1], y[~fits1]))
-        if settled is None:
-            continue
-        F = [f1, settled[0]]
-        try:
-            model = _assemble(data, F, sampler.eps, sampler.separate)
-        except (SeparabilityError, ConvergenceError):
-            continue
-        model.fit_info = {
-            "samples_used": sampler.draws,
-            "epsilon": sampler.eps,
-            "algorithm": "cas2",
-            # _assemble refits F in place, so the default is one of its entries.
-            "branch": "complement_area" if model.default is F[0] else "piece_area",
-        }
-        return model
-    raise BudgetExhaustedError(
-        f"no acceptable split found in {sampler.draws} draws",
-        partial_models=[],
-        samples_used=sampler.draws,
-        fallback=_global_model(data),
-    )
+        return [f1] if settled is None else [f1, settled[0]]
+
+    model, F = _sample(data, config, propose)
+    # The sampled fit is F[0], refitted in place by _assemble.
+    branch = "complement_area" if model.default is F[0] else "piece_area"
+    model.fit_info.update(algorithm="cas2", branch=branch)
+    return model
 
 
 def _svd_sse_floor(A, Y):

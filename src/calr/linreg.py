@@ -33,7 +33,7 @@ _ZERO_FRACTION = 1e-14
 class LinearModel:
     """Affine model y = coeffs[0] + coeffs[1:] . x with fit metadata.
 
-    Identity is the coefficient vector; mse/p_value/n_fit are metadata
+    Identity is the coefficient vector; mse/p_value are metadata
     from the fit and do not participate in equality (a model loaded from
     disk equals the model that was saved).
     """
@@ -41,7 +41,6 @@ class LinearModel:
     coeffs: np.ndarray
     mse: float = field(default=0.0)
     p_value: float = field(default=1.0)
-    n_fit: int = field(default=0)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -96,7 +95,6 @@ def _ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
         coeffs=beta,
         mse=mean_sq,
         p_value=_f_pvalue(ssr, sse, n, d, y_scale=float(y @ y)),
-        n_fit=n,
     )
 
 

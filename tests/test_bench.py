@@ -1,0 +1,32 @@
+"""The benchmark's contract, smoke-tested on a short traced fit-lp run."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_traced_fit_lp_run_is_correct_and_reads_the_fit_info():
+    # The tracer wraps functions by name, so a renamed target fails its
+    # install; bench/workloads.py reads fit_info with .get, so a missing
+    # samples_used, attempts or accepted_p_values key only zeroes these
+    # figures and would not fail the run.
+    r = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "fit-lp", "--seconds", "0.5", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert r.returncode == 0, r.stderr
+    last = json.loads(r.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0
+    metrics = last["metrics"]
+    for name in ("fitting.draws", "fitting.attempts", "fitting.accept_ratio"):
+        assert metrics[name]["value"] > 0, name
+    # Accepted models per fit: at least m+1 = 3 on fit-lp, where a fit
+    # without accepted_p_values counts as 1.
+    per_fit = metrics["fitting.accept_ratio"]["value"] * metrics["fitting.draws"]["value"]
+    assert per_fit > 2.5

@@ -434,16 +434,55 @@ def test_sampling_solver_auto_epsilon_tracks_the_noise():
         assert sigma <= model.fit_info["epsilon"] <= 9.0 * sigma
 
 
-def test_sampling_solver_reports_budget_exhaustion():
-    data, _ = generate_separable(500, 2, 2, 0.01, 1.0, seed=0)
-    # Two draws cannot hold the m+1 = 3 acceptances a fit needs.
+@pytest.mark.parametrize("solver", [cas_calr, cas2])
+def test_sampling_solver_reports_budget_exhaustion(solver):
+    if solver is cas_calr:
+        data, _ = generate_separable(500, 2, 2, 0.01, 1.0, seed=0)
+        # Two draws cannot hold the m+1 = 3 acceptances a fit needs.
+        config = FitConfig(m=2, seed=1, max_samples=2)
+    else:
+        # With no piece structure the auto epsilon covers every row, so
+        # each draw leaves an empty complement and no pair to assemble.
+        rng = np.random.default_rng(0)
+        data = Dataset(X=rng.uniform(-5.0, 5.0, size=(300, 2)), y=rng.normal(0.0, 1.0, size=300))
+        config = FitConfig(m=1, seed=1, max_samples=20)
     with pytest.raises(BudgetExhaustedError) as exc:
-        cas_calr(data, FitConfig(m=2, seed=1, max_samples=2))
+        solver(data, config)
     err = exc.value
-    assert err.samples_used == 2
-    assert len(err.partial_models) <= 3
+    assert err.samples_used == config.max_samples
+    assert f"no assembly of {config.m + 1} models within" in str(err)
+    assert 1 <= len(err.partial_models) <= config.m + 1
     assert isinstance(err.fallback, CalfModel) and err.fallback.m == 0
     assert_allclose(err.fallback.default.coeffs, lr(data).coeffs, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    solver=st.sampled_from([cas_calr, cas2]),
+    d=st.integers(1, 2),
+    m=st.integers(1, 2),
+    kind=st.sampled_from(["planted", "structureless", "offset 1e6"]),
+    seed=st.integers(0, 10_000),
+)
+def test_a_sampling_fit_is_a_valid_model_or_a_diagnostic(solver, d, m, kind, seed):
+    # Whatever the data, a fit returns at most m pieces whose areas share
+    # no training point, or raises a FitDiagnostic; no other outcome.
+    if solver is cas2:
+        m = 1
+    if kind == "structureless":
+        rng = np.random.default_rng(seed)
+        data = Dataset(X=rng.uniform(-5.0, 5.0, size=(200, d)), y=rng.normal(0.0, 1.0, size=200))
+    else:
+        data, _ = generate_separable(200, d, m, 0.01, 1.0, seed=seed)
+        if kind == "offset 1e6":
+            data = Dataset(X=data.X + 1e6, y=data.y)
+    config = FitConfig(m=m, seed=seed, max_samples=300)
+    try:
+        model = solver(data, config)
+    except FitDiagnostic:
+        return
+    assert model.m <= config.m
+    assert len(overlapping_training_points(model, data.X)) == 0
 
 
 def test_sampling_solver_draws_do_not_grow_with_n():
@@ -506,8 +545,8 @@ def test_exact_solver_settles_its_fits_without_scipy():
     assert r.returncode == 0, r.stderr
 
 
-def _within(X, y, f, eps):
-    return np.abs(y - f.predict_batch(X)) < eps
+def _within(X, y, F, eps):
+    return np.array([np.abs(y - f.predict_batch(X)) < eps for f in F])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -518,26 +557,33 @@ def _within(X, y, f, eps):
     sigma=st.sampled_from([0.0, 0.01, 0.05]),
     eps_scale=st.sampled_from([2.0, 4.0, 8.0]),
     start_seed=st.integers(0, 10_000),
+    models=st.integers(1, 3),
 )
-def test_refit_within_returns_a_fixed_point(d, m, seed, sigma, eps_scale, start_seed):
-    # Started from the fit of d+1 training rows drawn as the sampler draws
-    # them, the refit stops on a model fitted to exactly its own
-    # within-eps rows, unless its row set fell below d+2 or the refit cap
-    # ran out.
+def test_refit_within_returns_a_fixed_point(d, m, seed, sigma, eps_scale, start_seed, models):
+    # Started from fits of d+1 training rows each, drawn as the sampler
+    # draws them, the refit stops on models each fitted to exactly the
+    # rows only it fits within eps, except a model left with fewer than
+    # d+2 such rows, unless the refit cap ran out.
     data, _ = generate_separable(60 * (m + 1), d, m, sigma, 1.0, seed=seed)
     X, y = data.X, data.y
     eps = eps_scale * max(sigma, 0.001)
     rng = np.random.default_rng(start_seed)
-    anchor = int(rng.integers(data.n))
-    near = fitting._nearest(X, X[anchor], 3 * (d + 1) + 1)
-    sample = np.append(anchor, rng.choice(near[near != anchor], size=d, replace=False))
-    start = _ols(X[sample], y[sample])
-    with mock.patch.object(fitting, "_ols", wraps=fitting._ols) as refits:
-        f, fits = fitting._refit_within(X, y, start, eps)
-    assert fits.tolist() == _within(X, y, f, eps).tolist()
-    assume(refits.call_count < fitting._REFIT_CAP and int(fits.sum()) >= d + 2)
-    again = _ols(X[fits], y[fits])
-    assert _within(X, y, again, eps).tolist() == fits.tolist()
+    F = []
+    for _ in range(models):
+        anchor = int(rng.integers(data.n))
+        near = fitting._nearest(X, X[anchor], 3 * (d + 1) + 1)
+        sample = np.append(anchor, rng.choice(near[near != anchor], size=d, replace=False))
+        F.append(_ols(X[sample], y[sample]))
+    with mock.patch.object(fitting, "_within", wraps=fitting._within) as masks:
+        fits = fitting._refit_within(X, y, F, eps)
+    assert len(F) == models
+    assert fits.tolist() == _within(X, y, F, eps).tolist()
+    # One mask for the start, then one per refit round.
+    assume(masks.call_count - 1 < fitting._REFIT_CAP)
+    own = fits & (fits.sum(axis=0) == 1)
+    for f, rows in zip(F, own):
+        if int(rows.sum()) >= d + 2:
+            assert f == _ols(X[rows], y[rows])
 
 
 def test_two_function_solver_splits_a_planted_piece():

@@ -170,7 +170,7 @@ def test_linear_model_validation_and_identity():
         LinearModel(coeffs=np.array([np.nan, 1.0]))
     with pytest.raises(InputError):
         LinearModel(coeffs=np.zeros((2, 2)))
-    a = LinearModel(coeffs=np.array([1.0, 2.0]), mse=5.0, p_value=0.3, n_fit=9)
+    a = LinearModel(coeffs=np.array([1.0, 2.0]), mse=5.0, p_value=0.3)
     b = LinearModel(coeffs=np.array([1.0, 2.0]))
     assert a == b  # metadata does not participate in identity
     with pytest.raises(DimensionMismatchError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,11 @@ class Dataset:
 
 # numpy strips these separator controls around a number; float() does not.
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# Characters read per step while the body is scanned for those controls.
+_SCAN_CHARS = 1 << 16
+# np.loadtxt opens a path through numpy's DataSource, which decompresses by
+# these suffixes (and fetches URLs, which an absolute path never looks like).
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _nonblank(row) -> bool:
@@ -89,32 +95,70 @@ def load_matrix(path):
     """Parse a numeric CSV with one header row into (column names, matrix).
 
     The header is the first non-blank row.  numpy's C reader parses the
-    body; when it refuses the body (blank cells, quotes, ragged rows, or
-    cells such as "1_000" that only Python's float accepts), the body is
-    parsed cell by cell instead, which either reads it the same way or
-    names the offending row and column.
+    body straight from the file, past the lines the header took, so the
+    whole body never sits in memory as text: reading costs the output
+    array plus a bounded chunk.  When numpy refuses the body (blank
+    cells, quotes, ragged rows, or cells such as "1_000" that only
+    Python's float accepts), the body is read again and parsed cell by
+    cell, which either reads it the same way or names the offending row
+    and column.  A byte the file's encoding cannot decode is reported
+    with its row.
     """
     try:
         with open(path, newline="") as fh:
-            header = next((row for row in csv.reader(fh) if _nonblank(row)), None)
-            body = fh.read()
+            reader = csv.reader(iter(fh.readline, ""))
+            header = next((row for row in reader if _nonblank(row)), None)
+            if header is None:
+                raise CsvFormatError("empty file")
+            header = tuple(c.strip() for c in header)
+            body_at = fh.tell()
+            blank = plain = True
+            for chunk in iter(lambda: fh.read(_SCAN_CHARS), ""):
+                blank = blank and chunk.isspace()
+                plain = plain and not any(c in chunk for c in _NUMPY_ONLY_SPACE)
+            source = os.path.abspath(os.fsdecode(path))
+            if not blank and plain and not source.endswith(_DECOMPRESSED_SUFFIXES):
+                try:
+                    values = np.loadtxt(
+                        source,
+                        delimiter=",",
+                        comments=None,
+                        ndmin=2,
+                        skiprows=reader.line_num,
+                        encoding=fh.encoding,
+                    )
+                except ValueError:
+                    values = None
+                if values is not None and values.shape[1] == len(header):
+                    return header, values
+            fh.seek(body_at)
+            return header, _parse_cells(header, csv.reader(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise CsvFormatError(str(exc), row=1) from None
-    if header is None:
-        raise CsvFormatError("empty file")
-    header = tuple(c.strip() for c in header)
-    if body.strip() and not any(c in body for c in _NUMPY_ONLY_SPACE):
-        try:
-            values = np.loadtxt(
-                io.StringIO(body, newline=""), delimiter=",", comments=None, ndmin=2
-            )
-        except ValueError:
-            values = None
-        if values is not None and values.shape[1] == len(header):
-            return header, values
-    return header, _parse_cells(header, csv.reader(io.StringIO(body, newline="")))
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc.encoding) from None
+
+
+def _undecodable(path, encoding) -> CsvFormatError:
+    """The error for a file that does not decode, naming the row of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode(encoding)
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    else:  # the file changed after it was first read
+        return CsvFormatError(f"the file does not decode as {encoding}")
+    message = f"byte 0x{raw[start]:02x} does not decode as {encoding}"
+    # The bad byte makes its row non-blank; "0" stands in for it.
+    text = raw[:start].decode(encoding) + "0"
+    try:
+        row = sum(1 for r in csv.reader(io.StringIO(text, newline="")) if _nonblank(r))
+    except csv.Error:
+        row = None
+    return CsvFormatError(message, row=row)
 
 
 def _parse_cells(header, rows) -> np.ndarray:

@@ -117,11 +117,14 @@ def _local_scale(X, y, rng, anchors: int = 25) -> float:
     if k < d + 2:
         return 0.0
     idx = rng.choice(n, size=min(n, anchors), replace=False)
+    ones = np.ones((k, 1))
     scales = []
     for i in idx:
         nb = _nearest(X, X[i], k)
-        f = _ols(X[nb], y[nb])
-        r = y[nb] - f.predict_batch(X[nb])
+        Xn, yn = X[nb], y[nb]
+        # _ols's least squares without its F-test, which this scale never reads.
+        beta = np.linalg.lstsq(np.concatenate([ones, Xn], axis=1), yn, rcond=RCOND)[0]
+        r = yn - (beta[0] + Xn @ beta[1:])
         scales.append(math.sqrt(float(r @ r) / (k - d - 1)))
     return float(np.median(scales))
 

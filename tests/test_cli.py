@@ -131,6 +131,28 @@ def test_eval_reports_an_oversized_csv_cell_as_an_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_csv_commands_report_an_undecodable_byte_as_an_error(tmp_path):
+    data_path = tmp_path / "plateau.csv"
+    plateau_csv(data_path)
+    model_path = tmp_path / "model.json"
+    assert run_cli("naive-fit", "--data", data_path, "--out", model_path).returncode == 0
+    in_header, in_body = tmp_path / "header.csv", tmp_path / "body.csv"
+    in_header.write_bytes(b"x1,\xffy\n0.0,1.0\n1.0,2.0\n")
+    in_body.write_bytes(b"x1,y\n0.0,1.0\n1.0,2.0\xff\n")
+    runs = [
+        (("eval", "--model", model_path, "--data", in_header), 1),
+        (("eval", "--model", model_path, "--data", in_body), 3),
+        (("fit", "--data", in_body, "--out", tmp_path / "m.json"), 3),
+        (("predict", "--model", model_path, "--data", in_body, "--out", tmp_path / "p.csv"), 3),
+        (("export-mip", "--data", in_body, "--m", 1, "--k", 2, "--out", tmp_path / "p.json"), 3),
+    ]
+    for argv, row in runs:
+        r = run_cli(*argv)
+        assert r.returncode == 1, (argv, r.stderr)
+        assert r.stderr.startswith("error: byte 0xff does not decode") and f"(row {row})" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 def test_naive_fit_recovers_the_plateau(tmp_path):
     data_path = tmp_path / "plateau.csv"
     plateau_csv(data_path)

@@ -1,6 +1,8 @@
 """Dataset containers, CSV round-trips, and the planted-data generator."""
 
 import csv
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -148,10 +150,15 @@ DEFECTS = {
 
 @st.composite
 def csv_files(draw):
-    """(text, defect or None, whether every blank line is empty)."""
+    """(text, defect or None, whether every blank line after the header is empty)."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
-    lines = [",".join(f" col{j} " for j in range(k))]
+    names = [f" col{j} " for j in range(k)]
+    # A quoted line break makes the header two physical lines.
+    split = draw(st.sampled_from([None, "\n", "\r\n"]))
+    if split is not None:
+        names[0] = f'"col0{split}part"'
+    lines = [",".join(names)]
     for _ in range(n):
         cells = []
         for _ in range(k):
@@ -165,11 +172,13 @@ def csv_files(draw):
         i = draw(st.integers(1, n))
         lines[i] = DEFECTS[defect](lines[i], draw(st.integers(0, k - 1)))
     lines = [line if isinstance(line, str) else ",".join(line) for line in lines]
-    blanks = draw(st.lists(st.tuples(st.integers(0, n + 1), st.sampled_from(["", "", "  ", " , "]))))
+    blanks = draw(st.lists(st.tuples(st.integers(1, n + 1), st.sampled_from(["", "", "  ", " , "]))))
     for at, blank in blanks:
         lines.insert(at, blank)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + newline, defect, all(b == "" for _, b in blanks)
+    lead = draw(st.lists(st.sampled_from(["", "  ", "\t", " , "]), max_size=3))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lead + lines) + newline
+    return text, defect, all(b == "" for _, b in blanks)
 
 
 def outcome(read, path):
@@ -200,6 +209,66 @@ def test_numpy_only_separators_take_the_cell_by_cell_path(tmp_path):
     with pytest.raises(CsvFormatError) as exc:
         load_matrix(path)
     assert (exc.value.row, exc.value.column) == (2, 2)
+
+
+def test_a_plain_file_with_a_compressed_suffix_reads_as_text(tmp_path):
+    # np.loadtxt would decompress a path ending in .gz.
+    path = tmp_path / "data.csv.gz"
+    path.write_text("a,b\n1,2\n3,4\n")
+    assert_array_equal(load_matrix(path)[1], [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_header_only_and_blank_bodies_raise_without_a_warning(tmp_path):
+    path = tmp_path / "data.csv"
+    for text in ("a,b\n", "a,b", "\n a , b \n\n  \n", "a,b\r\n \t\r\n , \r\n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="no data rows after the header"):
+                load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        (b"a,\xffb\n1,2\n", 1),  # in the header
+        (b"a,b\n1,2\n\n3,\xff\n", 3),  # a body numpy would read
+        (b'a,b\n"1",2\n3,4\xff\n', 3),  # a body only the cell-by-cell path reads
+    ],
+    ids=["header", "numpy_body", "cell_body"],
+)
+def test_undecodable_bytes_raise_csv_format_errors_with_their_row(tmp_path, text, row):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    with pytest.raises(CsvFormatError, match="does not decode") as exc:
+        load_matrix(path)
+    assert exc.value.row == row
+
+
+def test_an_undecodable_byte_deep_in_the_body_names_its_row(tmp_path):
+    # Far past the first block the text layer decodes, and after a quoted
+    # header cell that spans two lines.
+    lines = ['"x\n1",y'] + [f"{i},{i}.5" for i in range(20_000)]
+    lines[15_000] = "7,\xff"
+    path = tmp_path / "data.csv"
+    path.write_bytes("\n".join(lines).encode("latin-1"))
+    with pytest.raises(CsvFormatError) as exc:
+        load_matrix(path)
+    assert exc.value.row == 15_001
+
+
+def test_reading_holds_less_than_three_times_the_file(tmp_path):
+    data, _ = generate_separable(50_000, 2, 2, 0.01, 1.0, seed=0)
+    path = tmp_path / "data.csv"
+    write_csv(data, path)
+    tracemalloc.start()
+    try:
+        _, values = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (50_000, 3)
+    assert peak < 3 * path.stat().st_size
 
 
 def test_generator_is_deterministic():

@@ -20,6 +20,8 @@ _COEFF_RANGE = 3.0
 _COEFF_RETRIES = 1000
 _REJECTION_FACTOR = 1000
 _WRITE_BLOCK_ROWS = 4096
+# Rows the cell-by-cell parser makes room for before its array first doubles.
+_PARSE_BLOCK_ROWS = 1024
 
 
 @dataclass(eq=False)
@@ -162,27 +164,34 @@ def _undecodable(path, encoding) -> CsvFormatError:
 
 
 def _parse_cells(header, rows) -> np.ndarray:
-    """The body of a CSV, one float() per cell, with the row and column of a bad cell."""
-    body = []
+    """The body of a CSV, one float() per cell, with the row and column of a bad cell.
+
+    Each row is converted as it is read, into an array that doubles as it
+    fills, so the body never sits in memory as strings.
+    """
+    values = np.empty((_PARSE_BLOCK_ROWS, len(header)))
+    n = 0
     try:
-        body.extend(r for r in rows if _nonblank(r))
+        for row in rows:
+            if not _nonblank(row):
+                continue
+            if len(row) != len(header):
+                raise CsvFormatError(f"expected {len(header)} cells, found {len(row)}", row=n + 2)
+            if n == len(values):
+                values.resize((2 * n, len(header)), refcheck=False)
+            for j, cell in enumerate(row):
+                try:
+                    values[n, j] = float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"non-numeric cell {cell.strip()!r}", row=n + 2, column=j + 1
+                    ) from None
+            n += 1
     except csv.Error as exc:
-        raise CsvFormatError(str(exc), row=len(body) + 2) from None
-    if not body:
+        raise CsvFormatError(str(exc), row=n + 2) from None
+    if n == 0:
         raise CsvFormatError("no data rows after the header")
-    values = np.empty((len(body), len(header)), dtype=float)
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"expected {len(header)} cells, found {len(row)}", row=i + 2
-            )
-        for j, cell in enumerate(row):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise CsvFormatError(
-                    f"non-numeric cell {cell.strip()!r}", row=i + 2, column=j + 1
-                ) from None
+    values.resize((n, len(header)), refcheck=False)
     return values
 
 

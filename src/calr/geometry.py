@@ -17,14 +17,15 @@ point from the hull by a clear margin proves it outside instead.  gslp
 asks it before reflecting.
 
 cac and cacs build a convex area around the rows a boolean mask selects:
-one separating half-space per excluded point, with already-excluded points
-pruned as the conjunction grows.  Both climb one ladder per point and
-differ only in the search they climb it with: the hull certificate, a
-quick search, the LP hull-membership check (the fallback for points the
-certificate settles neither way), a thorough search, and the exact
-separation LP.  Only the certificate and the hull LP may declare a point
-inseparable.  A point shown outside that no step separates raises
-ConvergenceError.
+they visit the excluded points nearest the inside rows' mean first and
+give a separating half-space to each point no earlier plane excludes,
+pruning the points each new plane pushes out.  Both climb one ladder per
+point and differ only in the search they climb it with: the hull
+certificate, a quick search, the LP hull-membership check (the fallback
+for points the certificate settles neither way), a thorough search, and
+the exact separation LP.  Only the certificate and the hull LP may
+declare a point inseparable.  A point shown outside that no step
+separates raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -505,6 +506,14 @@ def _separate_one(u, D, attempt):
 
 
 def _construct_area(points, inside, attempt):
+    """The area cac and cacs build: a plane per excluded row earlier planes leave in.
+
+    Excluded rows are visited by their squared distance to the mean of
+    the inside rows, nearest first, ties in data order.  A plane against
+    a near row tends to push many farther rows out as well, so fewer
+    rows need a plane of their own; the area holds the same rows in any
+    order.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise DimensionMismatchError("points must be an (n, d) array")
@@ -517,6 +526,7 @@ def _construct_area(points, inside, attempt):
     if len(D) == 0:
         raise InputError("the inside set must be nonempty")
     U = points[~inside]
+    U = U[np.argsort(np.sum((U - D.mean(axis=0)) ** 2, axis=1), kind="stable")]
     halfspaces = []
     excluded = np.zeros(len(U), dtype=bool)
     tols = _tol_geo_batch(U)
@@ -547,20 +557,21 @@ def cac(points, inside):
     """Convex area containing the rows inside selects, excluding the rest.
 
     inside must be a boolean mask with one entry per row of points, else
-    DimensionMismatchError.  One half-space per excluded point, skipping
-    points already excluded by earlier planes.  Each point climbs one
-    ladder: the LP-free hull certificate; gslp with n*d reflections; the LP
-    hull oracle, for points neither settles and the certificate has not
-    proved outside; gslp with 1000*n*d reflections; the exact separation
-    LP.  Returns None exactly when some excluded point lies in the convex
-    hull of the inside rows, and raises ConvergenceError when a point is
-    shown outside but no step finds a plane.
+    DimensionMismatchError.  Excluded points are visited nearest the
+    inside rows' mean first; each one no earlier plane excludes gets a
+    half-space of its own.  Each such point climbs one ladder: the
+    LP-free hull certificate; gslp with n*d reflections; the LP hull
+    oracle, for points neither settles and the certificate has not proved
+    outside; gslp with 1000*n*d reflections; the exact separation LP.
+    Returns None exactly when some excluded point lies in the convex hull
+    of the inside rows, and raises ConvergenceError when a point is shown
+    outside but no step finds a plane.
     """
     return _construct_area(points, inside, _gslp_attempt)
 
 
 def cacs(points, inside):
-    """Same contract as cac with planes from the soft-margin solver.
+    """Same contract and visit order as cac, with planes from the soft-margin solver.
 
     The quick step runs svm_soft for 5000 iterations at its default
     penalty, the thorough one for its full budget at 1000 times that.

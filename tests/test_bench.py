@@ -20,7 +20,8 @@ def test_traced_fit_lp_run_is_correct_and_reads_the_fit_info():
         cwd=ROOT,
     )
     assert r.returncode == 0, r.stderr
-    last = json.loads(r.stdout.strip().splitlines()[-1])
+    *_, facts_line, last_line = r.stdout.strip().splitlines()
+    facts, last = json.loads(facts_line)["facts"], json.loads(last_line)
     assert last["correct"] is True
     assert last["failed"] == 0
     metrics = last["metrics"]
@@ -30,3 +31,6 @@ def test_traced_fit_lp_run_is_correct_and_reads_the_fit_info():
     # without accepted_p_values counts as 1.
     per_fit = metrics["fitting.accept_ratio"]["value"] * metrics["fitting.draws"]["value"]
     assert per_fit > 2.5
+    # Areas built nearest row first need about 5 half-spaces per piece
+    # here; the planted boxes need 4.5.
+    assert facts["halfspaces_per_piece"] <= 8

@@ -257,17 +257,37 @@ def test_an_undecodable_byte_deep_in_the_body_names_its_row(tmp_path):
     assert exc.value.row == 15_001
 
 
-def test_reading_holds_less_than_three_times_the_file(tmp_path):
-    data, _ = generate_separable(50_000, 2, 2, 0.01, 1.0, seed=0)
-    path = tmp_path / "data.csv"
-    write_csv(data, path)
+def _load_traced(path):
+    """load_matrix's values and its peak of traced memory."""
     tracemalloc.start()
     try:
         _, values = load_matrix(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return values, peak
+
+
+def test_reading_holds_less_than_three_times_the_file(tmp_path):
+    data, _ = generate_separable(50_000, 2, 2, 0.01, 1.0, seed=0)
+    path = tmp_path / "data.csv"
+    write_csv(data, path)
+    values, peak = _load_traced(path)
     assert values.shape == (50_000, 3)
+    assert peak < 3 * path.stat().st_size
+
+
+def test_reading_quoted_cells_holds_less_than_three_times_the_file(tmp_path):
+    # Quoted cells, as spreadsheet exports write them, take the
+    # cell-by-cell path.
+    data, _ = generate_separable(50_000, 2, 2, 0.01, 1.0, seed=0)
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(data.column_names)
+        writer.writerows(np.column_stack([data.X, data.y]).tolist())
+    values, peak = _load_traced(path)
+    assert_array_equal(values, np.column_stack([data.X, data.y]))
     assert peak < 3 * path.stat().st_size
 
 

@@ -521,3 +521,19 @@ def test_area_construction_raises_when_no_step_separates_an_outside_point(monkey
     for separate in (cac, cacs):
         with pytest.raises(ConvergenceError):
             separate(points, inside)
+
+
+def test_area_visits_rows_nearest_the_inside_mean_first():
+    # A plane against a near excluded row also pushes out the rows behind
+    # it; visited farthest first, as listed, each far row takes a plane.
+    g = np.linspace(0.0, 1.0, 6)
+    inner = np.array([(a, b) for a in g for b in g])
+    r = np.linspace(-0.5, 1.5, 11)
+    ring = np.array([(a, b) for a in r for b in r if not (-0.1 < a < 1.1 and -0.1 < b < 1.1)])
+    ring = ring[np.argsort(-np.sum((ring - 0.5) ** 2, axis=1), kind="stable")]
+    points = np.vstack([ring, inner])
+    inside = np.arange(len(points)) >= len(ring)
+    for separate in (cac, cacs):
+        area = separate(points, inside)
+        assert area.contains_batch(points).tolist() == inside.tolist()
+        assert len(area) <= 8, separate.__name__

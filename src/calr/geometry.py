@@ -19,12 +19,12 @@ asks it before reflecting.
 cac and cacs build a convex area around the rows a boolean mask selects:
 they visit the excluded points nearest the inside rows' mean first and
 give a separating half-space to each point no earlier plane excludes,
-pruning the points each new plane pushes out.  Both climb one ladder per
-point and differ only in the search they climb it with: the hull
-certificate, a quick search, the LP hull-membership check (the fallback
-for points the certificate settles neither way), a thorough search, and
-the exact separation LP.  Only the certificate and the hull LP may
-declare a point inseparable.  A point shown outside that no step
+pruning the points each new plane pushes out.  Both settle each point in
+one ladder and differ only in the search they run in it: a point is
+declared inseparable only by an exact check (the certificate, or the LP
+hull-membership check for points the certificate settles neither way);
+any other point gets the route's search once, and the exact separation
+LP if the search finds nothing.  A point shown outside that neither
 separates raises ConvergenceError.
 """
 
@@ -43,7 +43,7 @@ SVM_C_DEFAULT = 1e3
 SVM_MAX_ITER = 100_000
 _DIVERGENCE_NORM = 1e14
 # gslp's reflection cap, per row and coordinate of its point set.
-_GSLP_REFLECTIONS = 100
+_GSLP_REFLECTIONS = 1000
 # Box bound on each weight of the exact separation LP.
 _SEPARATION_LP_BOUND = 1e12
 
@@ -102,7 +102,8 @@ class HalfSpace:
         return np.array_equal(self.alpha, other.alpha) and self.gamma == other.gamma
 
     def __hash__(self):
-        return hash((self.alpha.tobytes(), self.gamma))
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash(((self.alpha + 0.0).tobytes(), self.gamma))
 
 
 @dataclass(eq=False)
@@ -269,29 +270,26 @@ def gslp(x0, points):
     half-space puts its boundary at the margin midpoint, so the set lies
     inside (values <= -1/2) and x0 strictly outside (value +1/2).  Returns
     None at once when _certified_inside proves x0 in the set's hull, and
-    otherwise when the iteration cap (100*n*d reflections) or the
+    otherwise when the iteration cap (1000*n*d reflections) or the
     divergence guard is hit before all constraints hold.  No LP is used.
     """
     x0, P = _point_and_set(x0, points)
-    if _certified_inside(x0, P):
-        return None
-    n, d = P.shape
-    return _gslp_reflect(x0, P, _GSLP_REFLECTIONS * n * d)
+    return None if _certified_inside(x0, P) else _gslp_reflect(x0, P)
 
 
-def _gslp_reflect(x0, P, max_iter):
-    """gslp's relaxation loop with max_iter reflections.
+def _gslp_reflect(x0, P):
+    """gslp's relaxation loop, capped at _GSLP_REFLECTIONS*n*d reflections.
 
     Callers ask _certified_inside first, which settles an x0 equal to a row.
     """
-    d = P.shape[1]
+    n, d = P.shape
     A = P - x0
     norms = np.linalg.norm(A, axis=1)
     A_hat = A / norms[:, None]
     b = -1.0 / norms
     w = np.zeros(d)
     ok = False
-    for _ in range(max_iter):
+    for _ in range(_GSLP_REFLECTIONS * n * d):
         r = A_hat @ w - b
         worst = int(np.argmax(r))
         if r[worst] <= 0.0:
@@ -449,55 +447,35 @@ def _separation_lp(u, D):
     return HalfSpace(alpha=w, gamma=0.5 - float(w @ u))
 
 
-def _gslp_attempt(u, D, thorough):
-    """gslp's relaxation with n*d reflections, or 1000*n*d when thorough.
-
-    It starts from w = 0 every time, so the thorough pass retraces the
-    quick one and finds the plane a single long pass would.  The ladder
-    has already asked the certificate, so gslp's own check is skipped.
-    """
-    n, d = D.shape
-    return _gslp_reflect(u, D, (1000 if thorough else 1) * n * d)
-
-
-def _svm_attempt(u, D, thorough):
+def _svm_search(u, D):
     """svm_soft plane with no point of D on u's side, else None.
 
-    The quick attempt runs 5000 iterations at the default penalty; the
-    thorough one gets the full budget and a 1000 times harder penalty so
-    the margin beats the slack.
+    Tries 5000 iterations at the default penalty, then the full budget at
+    a 1000 times harder penalty so the margin beats the slack.
     """
-    try:
-        if thorough:
-            h = svm_soft(D, u[None, :], c=SVM_C_DEFAULT * 1e3)
-        else:
-            h = svm_soft(D, u[None, :], max_iter=5000)
-    except ConvergenceError:
-        return None
-    if np.any(h.values_batch(D) * h.value(u) > 0.0):
-        return None
-    return h
+    for c, max_iter in ((SVM_C_DEFAULT, 5000), (SVM_C_DEFAULT * 1e3, SVM_MAX_ITER)):
+        try:
+            h = svm_soft(D, u[None, :], c=c, max_iter=max_iter)
+        except ConvergenceError:
+            continue
+        if not np.any(h.values_batch(D) * h.value(u) > 0.0):
+            return h
+    return None
 
 
-def _separate_one(u, D, attempt):
+def _separate_one(u, D, search):
     """A plane separating u from D, or None exactly when u lies in D's hull.
 
-    _certified_inside settles most points inside the hull without an LP or
-    a plane search, and proves some outside.  The quick attempt settles a
-    separable point in a few steps; a point neither settles goes to the
-    hull LP, unless the certificate has proved it outside.  A point shown
-    outside goes to the thorough attempt and then to the exact separation
-    LP; if neither finds a plane, ConvergenceError is raised.
+    Only exact checks say "inside": _certified_inside settles most points
+    without an LP, and the hull LP settles the points it leaves undecided.
+    Every other point gets the route's search once and, if the search
+    finds nothing, the exact separation LP; if that fails too,
+    ConvergenceError is raised.
     """
     verdict = _certified_inside(u, D)
-    if verdict:
+    if verdict or (verdict is None and point_in_hull(u, D)):
         return None
-    h = attempt(u, D, thorough=False)
-    if h is not None:
-        return h
-    if verdict is None and point_in_hull(u, D):
-        return None
-    h = attempt(u, D, thorough=True)
+    h = search(u, D)
     if h is None:
         h = _separation_lp(u, D)
     if h is None:
@@ -505,9 +483,10 @@ def _separate_one(u, D, attempt):
     return h
 
 
-def _construct_area(points, inside, attempt):
+def _construct_area(points, inside, search):
     """The area cac and cacs build: a plane per excluded row earlier planes leave in.
 
+    Each such row goes through _separate_one with the route's search.
     Excluded rows are visited by their squared distance to the mean of
     the inside rows, nearest first, ties in data order.  A plane against
     a near row tends to push many farther rows out as well, so fewer
@@ -534,7 +513,7 @@ def _construct_area(points, inside, attempt):
         if excluded[idx]:
             continue
         u = U[idx]
-        h = _separate_one(u, D, attempt)
+        h = _separate_one(u, D, search)
         if h is None:
             return None
         # Orient so the generating excluded point strictly violates it,
@@ -559,21 +538,20 @@ def cac(points, inside):
     inside must be a boolean mask with one entry per row of points, else
     DimensionMismatchError.  Excluded points are visited nearest the
     inside rows' mean first; each one no earlier plane excludes gets a
-    half-space of its own.  Each such point climbs one ladder: the
-    LP-free hull certificate; gslp with n*d reflections; the LP hull
-    oracle, for points neither settles and the certificate has not proved
-    outside; gslp with 1000*n*d reflections; the exact separation LP.
-    Returns None exactly when some excluded point lies in the convex hull
+    half-space of its own.  Each such point meets the LP-free hull
+    certificate, then the LP hull oracle if the certificate settles it
+    neither way; a point neither puts inside gets gslp's relaxation
+    (1000*n*d reflections), then the exact separation LP.  Returns None exactly when some excluded point lies in the convex hull
     of the inside rows, and raises ConvergenceError when a point is shown
     outside but no step finds a plane.
     """
-    return _construct_area(points, inside, _gslp_attempt)
+    return _construct_area(points, inside, _gslp_reflect)
 
 
 def cacs(points, inside):
     """Same contract and visit order as cac, with planes from the soft-margin solver.
 
-    The quick step runs svm_soft for 5000 iterations at its default
-    penalty, the thorough one for its full budget at 1000 times that.
+    The search runs svm_soft for 5000 iterations at its default penalty,
+    then for its full budget at 1000 times that penalty.
     """
-    return _construct_area(points, inside, _svm_attempt)
+    return _construct_area(points, inside, _svm_search)

@@ -69,7 +69,8 @@ class LinearModel:
         return np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash(self.coeffs.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash((self.coeffs + 0.0).tobytes())
 
 
 def coefficient_distance(a: LinearModel, b: LinearModel) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .exceptions import InputError, SchemaError
+from .model_io import _load
 
 MIP_SCHEMA_VERSION = 1
 _TAU_SCALE = 1e-6
@@ -279,11 +280,7 @@ def export_mip(instance: MipInstance, path) -> None:
 
 def load_mip(path) -> MipInstance:
     """Read an exported program back into an instance, checking its header."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+    doc = _load(path)
     if doc.get("version") != MIP_SCHEMA_VERSION:
         raise SchemaError(f"unsupported document version {doc.get('version')}")
     try:

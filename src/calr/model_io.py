@@ -13,7 +13,7 @@ import numpy as np
 
 from .calf import CalfModel
 from .dataset import GroundTruth
-from .exceptions import DimensionMismatchError, SchemaError
+from .exceptions import DimensionMismatchError, InputError, SchemaError
 from .geometry import ConvexArea, HalfSpace
 from .linreg import LinearModel
 
@@ -26,12 +26,26 @@ def _dump(doc, path) -> None:
         fh.write("\n")
 
 
-def _load(path):
+def _load(path) -> dict:
+    """The JSON object stored at path: the one reader of every JSON document.
+
+    InputError when the file cannot be read; SchemaError when its bytes do
+    not decode, are not JSON, or hold something other than an object.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{path}: byte {exc.object[exc.start]:#04x} does not decode as {exc.encoding}"
+        ) from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: the document is not a JSON object")
+    return doc
 
 
 def _require(doc, key, path):

@@ -112,8 +112,17 @@ def test_bad_inputs_exit_1(tmp_path):
     assert r.returncode == 1
     r = run_cli("fit", "--data", data_path, "--delta", 0)
     assert r.returncode == 1
-    r = run_cli("eval", "--model", tmp_path / "nope.json", "--data", data_path)
-    assert r.returncode == 1
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for model_path, message in ((tmp_path / "nope.json", "cannot read"),
+                                (listed, "not a JSON object")):
+        for argv in (("eval", "--model", model_path, "--data", data_path),
+                     ("predict", "--model", model_path, "--data", data_path,
+                      "--out", tmp_path / "p.csv")):
+            r = run_cli(*argv)
+            assert r.returncode == 1, (argv, r.stderr)
+            assert r.stderr.startswith("error: ") and message in r.stderr
+            assert "Traceback" not in r.stderr
     r = run_cli("gen", "--n", 10)  # missing required flags
     assert r.returncode == 1
 

@@ -504,8 +504,9 @@ def test_sampling_solver_fits_ten_thousand_points():
 
 
 def test_sampling_solver_settles_pipeline_fits_without_scipy():
-    # The hull certificate settles the excluded points inside a hull, so a
-    # fit of the CLI pipeline's shape and config never needs an LP.
+    # The hull certificate settles every excluded point of these fits, so
+    # fits of the CLI pipeline's and the lp benchmark's shapes and configs
+    # never meet the hull LP that an undecided point would load SciPy for.
     script = textwrap.dedent("""
         import sys
         from calr import FitConfig, cas_calr, generate_separable
@@ -513,6 +514,10 @@ def test_sampling_solver_settles_pipeline_fits_without_scipy():
         for s in (0, 3, 6, 100, 103):
             data, _ = generate_separable(500, 2, 2, 0.01, 1.0, seed=s)
             cas_calr(data, FitConfig(m=2, seed=s + 1000))
+        for s in range(6):
+            for d, m in ((2, 2), (3, 2), (2, 4)):
+                data, _ = generate_separable(1000, d, m, 0.01, 1.0, seed=s)
+                cas_calr(data, FitConfig(m=m, seed=s + 1000))
         assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)[:5]
     """)
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -753,11 +758,11 @@ def _failing_first_svm_call(monkeypatch):
     calls = []
     original = geometry._separate_one
 
-    def flaky(u, D, attempt):
+    def flaky(u, D, search):
         calls.append(len(D))
         if len(calls) == 1:
             raise ConvergenceError("no separator found a plane for a point outside the hull")
-        return original(u, D, attempt)
+        return original(u, D, search)
 
     monkeypatch.setattr(geometry, "_separate_one", flaky)
     return calls

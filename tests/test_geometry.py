@@ -14,7 +14,7 @@ from calr.geometry import (
     ConvexArea,
     HalfSpace,
     _certified_inside,
-    _gslp_attempt,
+    _gslp_reflect,
     _separate_one,
     cac,
     cacs,
@@ -55,6 +55,17 @@ def test_halfspace_membership_and_validation():
         HalfSpace(alpha=np.array([np.inf, 1.0]), gamma=0.0)
     with pytest.raises(DimensionMismatchError):
         h.value(np.array([1.0]))
+
+
+def test_equal_halfspaces_hash_alike():
+    # -0.0 == 0.0, so planes that differ only in the sign of a zero are
+    # equal and must hash alike; the stored coefficients keep the sign.
+    neg = HalfSpace(alpha=np.array([-0.0, 1.0]), gamma=-0.0)
+    pos = HalfSpace(alpha=np.array([0.0, 1.0]), gamma=0.0)
+    assert neg == pos
+    assert hash(neg) == hash(pos)
+    assert len({neg, pos}) == 1
+    assert np.signbit(neg.alpha[0])
 
 
 def test_convex_area_membership():
@@ -157,8 +168,8 @@ def test_gslp_agrees_with_hull_membership():
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_separator_keeps_gslp_planes_and_hull_verdicts(draw):
-    # The separator's first relaxation pass is short; a point gslp separates
-    # must still get gslp's own plane, and None must mean inside the hull.
+    # The separator runs gslp's relaxation once, so a point gslp separates
+    # must get gslp's own plane, and None must mean inside the hull.
     d = draw.draw(st.integers(1, 4), label="d")
     n = draw.draw(st.integers(1, 40), label="n")
     coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -174,7 +185,7 @@ def test_separator_keeps_gslp_planes_and_hull_verdicts(draw):
         c = c / np.linalg.norm(c)
         push = draw.draw(st.floats(1e-4, 1.0), label="push")
         x0 = D[np.argmax(D @ c)] + push * c
-    h = _separate_one(x0, D, _gslp_attempt)
+    h = _separate_one(x0, D, _gslp_reflect)
     assert (h is None) == point_in_hull(x0, D)
     if h is not None:
         assert np.max(h.values_batch(D)) < 0.0 < h.value(x0)
@@ -263,49 +274,62 @@ def test_gslp_settles_an_inside_point_without_relaxation_or_lp(monkeypatch):
 
 
 def test_separator_asks_the_hull_before_a_long_relaxation(monkeypatch):
-    rng = np.random.default_rng(3)
-    D = rng.uniform(-1.0, 1.0, size=(250, 2))
-    n, d = D.shape
+    # Only exact checks say "inside": a point the certificate leaves
+    # undecided meets the hull LP before any search, and a point the hull
+    # LP puts inside is never searched.
+    D = np.random.default_rng(3).uniform(-1.0, 1.0, size=(250, 2))
     calls = []
     real_reflect, real_hull = geometry._gslp_reflect, geometry.point_in_hull
 
-    def spy_reflect(x0, points, max_iter):
-        calls.append(max_iter)
-        return real_reflect(x0, points, max_iter)
+    def spy_reflect(*args):
+        calls.append("search")
+        return real_reflect(*args)
 
-    def spy_hull(*args, **kwargs):
+    def spy_hull(*args):
         calls.append("hull")
-        return real_hull(*args, **kwargs)
+        return real_hull(*args)
 
     monkeypatch.setattr(geometry, "_gslp_reflect", spy_reflect)
     monkeypatch.setattr(geometry, "point_in_hull", spy_hull)
-    # The certificate settles the centroid: no long relaxation, no hull LP.
-    assert _separate_one(D.mean(axis=0), D, _gslp_attempt) is None
-    assert "hull" not in calls
-    assert all(budget <= n * d for budget in calls)
-    # Without it, the hull LP still comes before any long relaxation.
-    calls.clear()
+
+    def area_around(u):
+        points = np.vstack([D, u])
+        return cac(points, np.arange(len(points)) < len(D))
+
+    # The certificate settles the centroid: no hull LP, no search.
+    assert area_around(D.mean(axis=0)) is None
+    assert calls == []
     monkeypatch.setattr(geometry, "_certified_inside", lambda x0, P: None)
-    assert _separate_one(D.mean(axis=0), D, _gslp_attempt) is None
-    assert "hull" in calls
-    assert all(budget <= n * d for budget in calls[: calls.index("hull")])
+    assert area_around(D.mean(axis=0)) is None
+    assert calls == ["hull"]
+    calls.clear()
+    assert area_around(np.array([2.5, 0.5])) is not None
+    assert calls == ["hull", "search"]
 
 
 def test_separator_skips_the_hull_lp_for_a_point_proved_outside(monkeypatch):
-    # When the quick search misses, a point the certificate has proved
-    # outside goes straight to the thorough search.
+    # A point the certificate proves outside goes straight to the search,
+    # and to the exact LP only when the search finds nothing.
     def forbidden(*args, **kwargs):
         raise AssertionError("the hull LP ran on a point proved outside")
 
-    def attempt(u, D, thorough):
-        return _gslp_attempt(u, D, thorough) if thorough else None
+    real_lp, lp_calls = geometry._separation_lp, []
+
+    def spy_lp(u, D):
+        lp_calls.append(len(D))
+        return real_lp(u, D)
 
     monkeypatch.setattr(geometry, "point_in_hull", forbidden)
+    monkeypatch.setattr(geometry, "_separation_lp", spy_lp)
     D = np.random.default_rng(13).uniform(-1.0, 1.0, size=(30, 2))
     u = np.array([2.5, 0.5])
-    h = _separate_one(u, D, attempt)
-    assert h is not None and h.value(u) > 0.0
-    assert np.all(h.values_batch(D) < 0.0)
+    assert _certified_inside(u, D) is False
+    searched = _separate_one(u, D, _gslp_reflect)
+    assert searched == _gslp_reflect(u, D) and lp_calls == []
+    exact = _separate_one(u, D, lambda u, D: None)
+    assert lp_calls == [len(D)]
+    for h in (searched, exact):
+        assert h.value(u) > 0.0 and np.all(h.values_batch(D) < 0.0)
 
 
 def test_svm_separator_falls_back_to_the_exact_lp(monkeypatch):
@@ -317,7 +341,7 @@ def test_svm_separator_falls_back_to_the_exact_lp(monkeypatch):
 
     def failing_svm(pos, neg, c=SVM_C_DEFAULT, max_iter=None):
         if c > SVM_C_DEFAULT:
-            retries.append(c)  # the retry on a point certified outside the hull
+            retries.append(c)  # the search's second, harder penalty
         raise ConvergenceError("stub solver never converges")
 
     monkeypatch.setattr(geometry, "svm_soft", failing_svm)
@@ -515,8 +539,8 @@ def test_area_construction_raises_when_no_step_separates_an_outside_point(monkey
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
     inside = np.array([True, True, False, False])
     assert not point_in_hull(points[3], points[inside])
-    monkeypatch.setattr(geometry, "_gslp_attempt", lambda u, D, thorough: None)
-    monkeypatch.setattr(geometry, "_svm_attempt", lambda u, D, thorough: None)
+    monkeypatch.setattr(geometry, "_gslp_reflect", lambda u, D: None)
+    monkeypatch.setattr(geometry, "_svm_search", lambda u, D: None)
     monkeypatch.setattr(geometry, "_separation_lp", lambda u, D: None)
     for separate in (cac, cacs):
         with pytest.raises(ConvergenceError):

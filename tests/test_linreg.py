@@ -177,6 +177,13 @@ def test_linear_model_validation_and_identity():
         coefficient_distance(a, LinearModel(coeffs=np.array([1.0, 2.0, 3.0])))
     c = LinearModel(coeffs=np.array([4.0, 6.0]))
     assert coefficient_distance(a, c) == 5.0
+    # Equal models hash alike, whatever the sign of their zeros; the stored
+    # coefficients keep it.
+    neg = LinearModel(coeffs=np.array([-0.0, 2.0]))
+    assert neg == LinearModel(coeffs=np.array([0.0, 2.0]))
+    assert hash(neg) == hash(LinearModel(coeffs=np.array([0.0, 2.0])))
+    assert len({neg, LinearModel(coeffs=np.array([0.0, 2.0]))}) == 1
+    assert np.signbit(neg.coeffs[0])
 
 
 def test_incomplete_beta_spot_values_and_edges():

@@ -8,9 +8,10 @@ from numpy.testing import assert_array_equal
 
 from calr.calf import CalfModel
 from calr.dataset import generate_separable
-from calr.exceptions import DimensionMismatchError, SchemaError
+from calr.exceptions import DimensionMismatchError, InputError, SchemaError
 from calr.geometry import ConvexArea, HalfSpace
 from calr.linreg import LinearModel
+from calr.mip import load_mip
 from calr.model_io import load_model, load_truth, save_model, save_truth
 
 
@@ -101,3 +102,19 @@ def test_truth_requires_its_extra_keys(tmp_path):
     with pytest.raises(SchemaError):
         load_truth(path)
     load_model(path)  # still a valid bare model document
+
+
+@pytest.mark.parametrize("load", [load_model, load_truth, load_mip])
+def test_json_loaders_raise_typed_errors(tmp_path, load):
+    with pytest.raises(InputError, match="cannot read"):
+        load(tmp_path / "missing.json")
+    with pytest.raises(InputError, match="cannot read"):
+        load(tmp_path)
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"version": "\xff"}')
+    with pytest.raises(SchemaError, match="0xff does not decode"):
+        load(path)
+    for not_an_object in ("[1, 2]", "3", "null", '"text"'):
+        path.write_text(not_an_object)
+        with pytest.raises(SchemaError, match="not a JSON object"):
+            load(path)

@@ -10,18 +10,17 @@ output matches library output bit for bit.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
-from .calf import CalfModel, PldcSpec, pldc_to_calf
+from .calf import CalfModel, pldc_to_calf
 from .dataset import Dataset, generate_separable, load_csv, load_matrix, write_csv, write_rows
 from .exceptions import BudgetExhaustedError, FitDiagnostic, InputError
 from .fitting import FitConfig, NAIVE_CAP_DEFAULT, cas2, cas_calr, naive_calr
 from .linreg import mse
 from .mip import build_mip, export_mip
-from .model_io import load_model, save_model, save_truth
+from .model_io import load_model, load_pldc_spec, save_model, save_truth
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,14 +215,7 @@ def cmd_export_mip(args) -> int:
 
 
 def cmd_pldc_convert(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            doc = json.load(fh)
-        plus = tuple((np.array(t["a"], dtype=float), float(t["c"])) for t in doc["plus_terms"])
-        minus = tuple((np.array(t["a"], dtype=float), float(t["c"])) for t in doc["minus_terms"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad spec file {args.spec}: {exc}") from exc
-    model = pldc_to_calf(PldcSpec(plus_terms=plus, minus_terms=minus))
+    model = pldc_to_calf(load_pldc_spec(args.spec))
     save_model(model, args.out)
     print(f"wrote converted model with {len(model.pieces)} pieces to {args.out}")
     return 0

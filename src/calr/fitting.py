@@ -61,9 +61,10 @@ class FitConfig:
     """Knobs for the sampling solvers.
 
     epsilon may be the string "auto" (estimate the residual scale from the
-    first accepted model) or a positive float; max_samples of None means
-    200 * (2m)^(d+1) draws, sized so a pure within-piece sample is drawn
-    many times over in expectation.
+    first accepted model) or a finite positive float, and delta must be
+    finite and positive.  max_samples of None means 200 * (2m)^(d+1)
+    draws, sized so a pure within-piece sample is drawn many times over in
+    expectation.
     """
 
     m: int = 1
@@ -78,10 +79,10 @@ class FitConfig:
             raise InputError("m must be nonnegative")
         if self.epsilon != "auto":
             self.epsilon = float(self.epsilon)
-            if self.epsilon <= 0:
-                raise InputError('epsilon must be positive or "auto"')
-        if self.delta <= 0:
-            raise InputError("delta must be positive")
+            if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+                raise InputError('epsilon must be finite and positive, or "auto"')
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise InputError("delta must be finite and positive")
         if self.max_samples is not None and self.max_samples < 1:
             raise InputError("max_samples must be positive")
         if self.separator not in ("lp", "svm"):

@@ -541,7 +541,9 @@ def cac(points, inside):
     half-space of its own.  Each such point meets the LP-free hull
     certificate, then the LP hull oracle if the certificate settles it
     neither way; a point neither puts inside gets gslp's relaxation
-    (1000*n*d reflections), then the exact separation LP.  Returns None exactly when some excluded point lies in the convex hull
+    (1000*n*d reflections), then the exact separation LP.
+
+    Returns None exactly when some excluded point lies in the convex hull
     of the inside rows, and raises ConvergenceError when a point is shown
     outside but no step finds a plane.
     """

@@ -99,11 +99,6 @@ class MipInstance:
 
     # -- evaluation against a candidate assignment --
 
-    def _halfspace_value(self, assignment, i, j, k) -> float:
-        alpha = assignment["alpha"][j, k]
-        gamma = assignment["gamma"][j, k]
-        return float(alpha @ self.X[i] + gamma)
-
     def residuals(self, assignment) -> np.ndarray:
         beta = np.asarray(assignment["beta"], dtype=float)
         prod = np.asarray(assignment["prod"], dtype=float)
@@ -119,25 +114,20 @@ class MipInstance:
         return float(r @ r)
 
     def constraint_violations(self, assignment) -> np.ndarray:
-        """Violation magnitude per constraint row (0 when satisfied)."""
+        """Violation magnitude per constraint row (0 when satisfied), in constraints() order."""
         ind = np.asarray(assignment["ind"], dtype=float)
         prod = np.asarray(assignment["prod"], dtype=float)
-        out = []
-        for row in self.constraints():
-            family = row["family"]
-            if family == "indicator_binary":
-                v = ind[row["i"], row["j"], row["k"]]
-                out.append(abs(v * (1.0 - v)))
-            elif family == "one_piece_per_point":
-                out.append(max(0.0, float(prod[row["i"]].sum()) - 1.0))
-            elif family == "product_link":
-                expected = float(np.prod(ind[row["i"], row["j"]]))
-                out.append(abs(float(prod[row["i"], row["j"]]) - expected))
-            else:
-                v = ind[row["i"], row["j"], row["k"]]
-                value = self._halfspace_value(assignment, row["i"], row["j"], row["k"])
-                out.append(max(0.0, (v - 0.5) * value - self.tau))
-        return np.array(out)
+        alpha = np.asarray(assignment["alpha"], dtype=float)
+        # values[i, j, k] = alpha_jk . x_i + gamma_jk
+        values = np.inner(self.X, alpha) + assignment["gamma"]
+        return np.concatenate(
+            [
+                np.abs(ind * (1.0 - ind)).ravel(),
+                np.maximum(0.0, prod.sum(axis=1) - 1.0),
+                np.abs(prod - ind.prod(axis=2)).ravel(),
+                np.maximum(0.0, (ind - 0.5) * values - self.tau).ravel(),
+            ]
+        )
 
 
 def build_mip(data: Dataset, M: int, K: int, tau: float | None = None) -> MipInstance:
@@ -278,26 +268,28 @@ def export_mip(instance: MipInstance, path) -> None:
         fh.write("\n")
 
 
-def load_mip(path) -> MipInstance:
-    """Read an exported program back into an instance, checking its header."""
-    doc = _load(path)
-    if doc.get("version") != MIP_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported document version {doc.get('version')}")
-    try:
-        instance = MipInstance(
-            n=int(doc["n"]),
-            d=int(doc["d"]),
-            M=int(doc["M"]),
-            K=int(doc["K"]),
-            tau=float(doc["tau"]),
-            X=np.array(doc["data"]["X"], dtype=float).reshape(int(doc["n"]), int(doc["d"])),
-            y=np.array(doc["data"]["y"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed program document: {exc}") from exc
-    counts = doc.get("counts", {})
-    if counts.get("constraints") != instance.constraint_count or counts.get(
-        "local_continuous_variables"
-    ) != instance.local_continuous_count:
+def _instance_from_doc(doc) -> MipInstance:
+    if doc["version"] != MIP_SCHEMA_VERSION:
+        raise SchemaError(f"unsupported document version {doc['version']}")
+    n, d = int(doc["n"]), int(doc["d"])
+    instance = MipInstance(
+        n=n,
+        d=d,
+        M=int(doc["M"]),
+        K=int(doc["K"]),
+        tau=float(doc["tau"]),
+        X=np.array(doc["data"]["X"], dtype=float).reshape(n, d),
+        y=np.array(doc["data"]["y"], dtype=float),
+    )
+    counts = doc["counts"]
+    if (counts["constraints"], counts["local_continuous_variables"]) != (
+        instance.constraint_count,
+        instance.local_continuous_count,
+    ):
         raise SchemaError("document header counts disagree with its declared sizes")
     return instance
+
+
+def load_mip(path) -> MipInstance:
+    """Read an exported program back into an instance, checking its header."""
+    return _load(path, _instance_from_doc)

@@ -1,17 +1,17 @@
 """JSON persistence for piecewise models and generator ground truths.
 
-Documents are canonical: sorted keys, two-space indent, trailing newline,
-reals serialized at full precision (shortest round-trip form), so saving
-the same value twice produces identical bytes.
+_load is the one reader of every JSON document: models, ground truths,
+exported programs (mip.load_mip) and PLDC specs.  Written documents are
+canonical: sorted keys, two-space indent, trailing newline, reals
+serialized at full precision (shortest round-trip form), so saving the
+same value twice produces identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
-from .calf import CalfModel
+from .calf import CalfModel, PldcSpec
 from .dataset import GroundTruth
 from .exceptions import DimensionMismatchError, InputError, SchemaError
 from .geometry import ConvexArea, HalfSpace
@@ -26,11 +26,14 @@ def _dump(doc, path) -> None:
         fh.write("\n")
 
 
-def _load(path) -> dict:
-    """The JSON object stored at path: the one reader of every JSON document.
+def _load(path, convert):
+    """convert(doc) for the JSON object doc stored at path.
 
-    InputError when the file cannot be read; SchemaError when its bytes do
-    not decode, are not JSON, or hold something other than an object.
+    InputError when the file cannot be read.  SchemaError when its bytes do
+    not decode, are not JSON or hold something other than an object, and
+    when convert meets a missing key (KeyError) or a value of the wrong
+    type or shape (TypeError, ValueError, IndexError, OverflowError).  The
+    package's own errors, which the constructors raise, pass through.
     """
     try:
         with open(path) as fh:
@@ -45,13 +48,12 @@ def _load(path) -> dict:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: the document is not a JSON object")
-    return doc
-
-
-def _require(doc, key, path):
-    if not isinstance(doc, dict) or key not in doc:
-        raise SchemaError(f"{path}: missing required key {key!r}")
-    return doc[key]
+    try:
+        return convert(doc)
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing required key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise SchemaError(f"{path}: malformed document: {exc}") from exc
 
 
 def model_to_doc(model: CalfModel) -> dict:
@@ -73,42 +75,24 @@ def model_to_doc(model: CalfModel) -> dict:
 
 
 def model_from_doc(doc, path="<doc>") -> CalfModel:
-    version = _require(doc, "version", path)
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"{path}: schema version {version} != {SCHEMA_VERSION}")
-    d = _require(doc, "d", path)
-    default_coeffs = _require(_require(doc, "default", path), "coeffs", path)
-    if len(default_coeffs) != d + 1:
+    """The model a document describes; the constructors check its dimensions."""
+    if doc["version"] != SCHEMA_VERSION:
+        raise SchemaError(f"{path}: schema version {doc['version']} != {SCHEMA_VERSION}")
+    default = LinearModel(coeffs=doc["default"]["coeffs"])
+    if default.d != doc["d"]:
         raise DimensionMismatchError(
-            f"{path}: default has {len(default_coeffs) - 1} features, document says d={d}"
+            f"{path}: default has {default.d} features, document says d={doc['d']!r}"
         )
-    pieces = []
-    for k, entry in enumerate(_require(doc, "pieces", path)):
-        coeffs = _require(entry, "coeffs", path)
-        if len(coeffs) != d + 1:
-            raise DimensionMismatchError(
-                f"{path}: piece {k} has {len(coeffs) - 1} features, expected d={d}"
-            )
-        halfspaces = []
-        for h in _require(entry, "area", path):
-            alpha = _require(h, "alpha", path)
-            if len(alpha) != d:
-                raise DimensionMismatchError(
-                    f"{path}: piece {k} half-space has dimension {len(alpha)}, expected {d}"
-                )
-            halfspaces.append(
-                HalfSpace(alpha=np.array(alpha, dtype=float), gamma=float(_require(h, "gamma", path)))
-            )
-        pieces.append(
-            (
-                LinearModel(coeffs=np.array(coeffs, dtype=float)),
-                ConvexArea(tuple(halfspaces)),
-            )
+    pieces = tuple(
+        (
+            LinearModel(coeffs=entry["coeffs"]),
+            ConvexArea(
+                tuple(HalfSpace(alpha=h["alpha"], gamma=float(h["gamma"])) for h in entry["area"])
+            ),
         )
-    return CalfModel(
-        default=LinearModel(coeffs=np.array(default_coeffs, dtype=float)),
-        pieces=tuple(pieces),
+        for entry in doc["pieces"]
     )
+    return CalfModel(default=default, pieces=pieces)
 
 
 def save_model(model: CalfModel, path) -> None:
@@ -118,7 +102,7 @@ def save_model(model: CalfModel, path) -> None:
 
 def load_model(path) -> CalfModel:
     """Read a model back; load(save(m)) equals m structurally."""
-    return model_from_doc(_load(path), path=str(path))
+    return _load(path, lambda doc: model_from_doc(doc, str(path)))
 
 
 def save_truth(truth: GroundTruth, path) -> None:
@@ -133,12 +117,23 @@ def save_truth(truth: GroundTruth, path) -> None:
 
 def load_truth(path) -> GroundTruth:
     """Read a ground truth written by save_truth."""
-    doc = _load(path)
-    model = model_from_doc(doc, path=str(path))
-    return GroundTruth(
-        model=model,
-        noise_sigma=float(_require(doc, "sigma", str(path))),
-        separation_delta=float(_require(doc, "delta", str(path))),
-        margin_epsilon=float(_require(doc, "epsilon", str(path))),
-        assignments=np.array(_require(doc, "assignments", str(path)), dtype=int),
-    )
+
+    def convert(doc):
+        return GroundTruth(
+            model=model_from_doc(doc, str(path)),
+            noise_sigma=float(doc["sigma"]),
+            separation_delta=float(doc["delta"]),
+            margin_epsilon=float(doc["epsilon"]),
+            assignments=doc["assignments"],
+        )
+
+    return _load(path, convert)
+
+
+def load_pldc_spec(path) -> PldcSpec:
+    """Read a PLDC spec: {"plus_terms": [{"a": [...], "c": ...}, ...], "minus_terms": [...]}."""
+
+    def terms(doc, key):
+        return tuple((t["a"], float(t["c"])) for t in doc[key])
+
+    return _load(path, lambda doc: PldcSpec(terms(doc, "plus_terms"), terms(doc, "minus_terms")))

@@ -110,12 +110,21 @@ def test_bad_inputs_exit_1(tmp_path):
     plateau_csv(data_path)
     r = run_cli("fit", "--data", data_path, "--algo", "cas2", "--m", 3)
     assert r.returncode == 1
-    r = run_cli("fit", "--data", data_path, "--delta", 0)
-    assert r.returncode == 1
+    for flag, value in (("--delta", 0), ("--delta", "nan"), ("--epsilon", "nan"),
+                        ("--epsilon", "inf")):
+        r = run_cli("fit", "--data", data_path, flag, value)
+        assert r.returncode == 1 and "must be finite and positive" in r.stderr, (flag, value)
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
+    model = {"version": 1, "d": 1, "default": {"coeffs": [0.0, 1.0]}, "pieces": []}
+    untyped = tmp_path / "untyped.json"
+    untyped.write_text(json.dumps(dict(model, pieces=None)))
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(json.dumps(dict(model, default={"coeffs": 5})))
     for model_path, message in ((tmp_path / "nope.json", "cannot read"),
-                                (listed, "not a JSON object")):
+                                (listed, "not a JSON object"),
+                                (untyped, "untyped.json: malformed document"),
+                                (scalar, "coeffs must be a 1-D vector")):
         for argv in (("eval", "--model", model_path, "--data", data_path),
                      ("predict", "--model", model_path, "--data", data_path,
                       "--out", tmp_path / "p.csv")):
@@ -230,9 +239,11 @@ def test_pldc_convert_produces_a_working_model(tmp_path):
     for x in (-2.0, 0.5, 3.0):
         assert model.predict(np.array([x])) == pytest.approx(abs(x), abs=1e-12)
     bad = tmp_path / "bad.json"
-    bad.write_text("{\"plus_terms\": []}")
-    r = run_cli("pldc-convert", "--spec", bad, "--out", out)
-    assert r.returncode == 1
+    for text in ('{"plus_terms": []}', '{"plus_terms": 5, "minus_terms": []}'):
+        bad.write_text(text)
+        r = run_cli("pldc-convert", "--spec", bad, "--out", out)
+        assert r.returncode == 1 and r.stderr.startswith("error: ")
+        assert "Traceback" not in r.stderr
 
 
 # sha256 of the data CSV and the --truth JSON that `calr gen` writes; they

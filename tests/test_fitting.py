@@ -66,6 +66,10 @@ def test_fit_config_validation():
         dict(epsilon=-0.1),
         dict(epsilon=0.0),
         dict(delta=0.0),
+        dict(epsilon=float("nan")),
+        dict(epsilon=float("inf")),
+        dict(delta=float("nan")),
+        dict(delta=float("inf")),
         dict(max_samples=0),
         dict(separator="qp"),
     ):

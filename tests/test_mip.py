@@ -165,8 +165,13 @@ def test_load_rejects_corrupt_documents(tmp_path):
 
     bad = {k: v for k, v in doc.items() if k != "data"}
     path.write_text(json.dumps(bad))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="missing required key 'data'"):
         load_mip(path)
+
+    for field, value in (("counts", [1]), ("n", float("inf")), ("K", "x")):
+        path.write_text(json.dumps(dict(doc, **{field: value})))
+        with pytest.raises(SchemaError, match="malformed document"):
+            load_mip(path)
 
     path.write_text("...")
     with pytest.raises(SchemaError):
@@ -191,3 +196,40 @@ def test_flipping_an_indicator_breaks_feasibility():
     assignment["ind"][0, 0, 0] = 1.0 - assignment["ind"][0, 0, 0]
     violations = instance.constraint_violations(assignment)
     assert float(np.max(violations)) > 1e-6
+
+
+def _violations_row_by_row(instance, assignment):
+    """One violation per row of instance.constraints(), computed from that row's own fields."""
+    ind, prod = assignment["ind"], assignment["prod"]
+    out = []
+    for row in instance.constraints():
+        family = row["family"]
+        if family == "indicator_binary":
+            v = ind[row["i"], row["j"], row["k"]]
+            out.append(abs(v * (1.0 - v)))
+        elif family == "one_piece_per_point":
+            out.append(max(0.0, float(prod[row["i"]].sum()) - 1.0))
+        elif family == "product_link":
+            expected = float(np.prod(ind[row["i"], row["j"]]))
+            out.append(abs(float(prod[row["i"], row["j"]]) - expected))
+        else:
+            i, j, k = row["i"], row["j"], row["k"]
+            value = float(assignment["alpha"][j, k] @ instance.X[i] + assignment["gamma"][j, k])
+            out.append(max(0.0, (ind[i, j, k] - 0.5) * value - instance.tau))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n, d, M, K", [(60, 2, 2, 4), (60, 5, 3, 2), (7, 1, 1, 1), (0, 2, 2, 2)])
+def test_constraint_violations_match_the_row_by_row_oracle(n, d, M, K):
+    instance = tiny_instance(n=n, d=d, M=M, K=K, seed=n + d)
+    rng = np.random.default_rng(d * 10 + M)
+    assignment = {
+        "alpha": rng.normal(size=(M, K, d)),
+        "gamma": rng.normal(size=(M, K)),
+        "ind": rng.uniform(-0.5, 1.5, size=(n, M, K)),
+        "prod": rng.uniform(-0.5, 1.5, size=(n, M)),
+    }
+    got = instance.constraint_violations(assignment)
+    want = _violations_row_by_row(instance, assignment)
+    assert got.shape == want.shape == (instance.constraint_count,)
+    assert np.array_equal(got, want)

@@ -1,6 +1,7 @@
 """Command-line surface: generate, fit, predict, evaluate, export.
 
-Exit codes: 0 on success, 1 for bad input (files, flags, dimensions),
+Exit codes: 0 on success, 1 for bad input (files, flags, dimensions)
+or an output file that cannot be written,
 2 when an algorithm ran but could not finish under its assumptions
 (sampling budget exhausted, separability violated, no convergence).
 Every number printed here is computed by the library functions, so CLI
@@ -226,7 +227,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
+        # OSError: an output file that cannot be written (missing directory, no permission).
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FitDiagnostic as exc:

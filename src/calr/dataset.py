@@ -248,7 +248,10 @@ class GroundTruth:
     assignments: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.assignments, dtype=int).copy()
+        a = np.array(self.assignments)
+        if a.size and a.dtype.kind not in "iu":
+            raise InputError("assignments must be integers")
+        a = a.astype(int)
         if a.ndim != 1:
             raise InputError("assignments must be a 1-D index vector")
         if np.any(a < 0) or np.any(a > len(self.model.pieces)):

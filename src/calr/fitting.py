@@ -60,11 +60,11 @@ NAIVE_CAP_DEFAULT = 16
 class FitConfig:
     """Knobs for the sampling solvers.
 
-    epsilon may be the string "auto" (estimate the residual scale from the
-    first accepted model) or a finite positive float, and delta must be
-    finite and positive.  max_samples of None means 200 * (2m)^(d+1)
-    draws, sized so a pure within-piece sample is drawn many times over in
-    expectation.
+    epsilon may be the string "auto" (estimate the residual scale from
+    nearest-neighbour fits, _local_scale, before the first draw) or a
+    finite positive float, and delta must be finite and positive.
+    max_samples of None means 200 * (2m)^(d+1) draws, sized so a pure
+    within-piece sample is drawn many times over in expectation.
     """
 
     m: int = 1

@@ -4,24 +4,27 @@ The program picks M local models (coefficients beta_j), M*K half-spaces
 (alpha_jk, gamma_jk), and binary indicators ind[i,j,k] deciding which
 half-spaces hold at each point; prod[i,j] = prod_k ind[i,j,k] marks point
 i as belonging to piece j.  The objective is the total squared error of
-the default model plus the indicator-activated local corrections.  We
-build and serialize the program; solving it is left to external tools.
+the default model plus the indicator-activated local corrections.
+
+The document (schema version 2) names each of the four constraint
+families with the index shape its rows range over, and gives the
+objective as one residual template over the point index i whose
+coefficients refer into the data block.  So it holds the data plus a
+part that does not grow with n.  We build and serialize the program;
+solving it is left to external tools.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
 from .exceptions import InputError, SchemaError
-from .model_io import _load
+from .model_io import _dump, _integer, _load
 
-MIP_SCHEMA_VERSION = 1
+MIP_SCHEMA_VERSION = 2
 _TAU_SCALE = 1e-6
 
 
@@ -87,15 +90,39 @@ class MipInstance:
         ]
 
     def constraints(self) -> list:
-        """All constraint rows, one dict per row, grouped by family."""
-        return list(_constraint_rows(self.n, self.M, self.K))
-
-    def objective_terms(self) -> list:
-        """Per point: the residual's terms; objective = sum of squared residuals."""
+        """The constraint families in row order; a family has one row per index of its shape."""
+        n, M, K = self.n, self.M, self.K
         return [
-            _residual(i, x, -v, self.M)
-            for i, (x, v) in enumerate(zip(self.X.tolist(), self.y.tolist()))
+            {"family": "indicator_binary", "index": ["i", "j", "k"], "shape": [n, M, K]},
+            {"family": "one_piece_per_point", "index": ["i"], "shape": [n]},
+            {"family": "product_link", "index": ["i", "j"], "shape": [n, M]},
+            {"family": "halfspace_activation", "index": ["i", "j", "k"], "shape": [n, M, K]},
         ]
+
+    def objective(self) -> dict:
+        """The residual template over point i; the objective sums its squares over i < n.
+
+        A term's coefficient is a number or the data reference ["X", "i", l],
+        meaning X[i][l]; the constant is -y[i].  The default model's terms come
+        first, then each piece's, gated by prod[i, j].
+        """
+        terms = []
+        for j in range(self.M + 1):
+            gate = [["prod", "i", j - 1]] if j else []
+            terms.append({"coeff": 1.0, "vars": gate + [["beta", j, 0]]})
+            terms.extend(
+                {"coeff": ["X", "i", l], "vars": gate + [["beta", j, l + 1]]} for l in range(self.d)
+            )
+        return {
+            "sense": "minimize",
+            "form": "sum over i < n of residual(i) squared",
+            "residual": {
+                "index": ["i"],
+                "shape": [self.n],
+                "constant": {"negated": ["y", "i"]},
+                "terms": terms,
+            },
+        }
 
     # -- evaluation against a candidate assignment --
 
@@ -114,7 +141,7 @@ class MipInstance:
         return float(r @ r)
 
     def constraint_violations(self, assignment) -> np.ndarray:
-        """Violation magnitude per constraint row (0 when satisfied), in constraints() order."""
+        """Violation magnitude per constraint row (0 when satisfied), in constraints() row order."""
         ind = np.asarray(assignment["ind"], dtype=float)
         prod = np.asarray(assignment["prod"], dtype=float)
         alpha = np.asarray(assignment["alpha"], dtype=float)
@@ -137,40 +164,14 @@ def build_mip(data: Dataset, M: int, K: int, tau: float | None = None) -> MipIns
     return MipInstance(n=data.n, d=data.d, M=int(M), K=int(K), tau=float(tau), X=data.X, y=data.y)
 
 
-def _constraint_rows(n: int, M: int, K: int):
-    for i in range(n):
-        for j in range(M):
-            for k in range(K):
-                yield {"family": "indicator_binary", "i": i, "j": j, "k": k}
-    for i in range(n):
-        yield {"family": "one_piece_per_point", "i": i}
-    for i in range(n):
-        for j in range(M):
-            yield {"family": "product_link", "i": i, "j": j}
-    for i in range(n):
-        for j in range(M):
-            for k in range(K):
-                yield {"family": "halfspace_activation", "i": i, "j": j, "k": k}
-
-
-def _residual(i, x, constant, M: int) -> dict:
-    """Point i's residual: the default model's terms, then each piece's gated by prod[i, j]."""
-    terms = [{"coeff": 1.0, "vars": [["beta", 0, 0]]}]
-    for l, v in enumerate(x):
-        terms.append({"coeff": v, "vars": [["beta", 0, l + 1]]})
-    for j in range(M):
-        terms.append({"coeff": 1.0, "vars": [["prod", i, j], ["beta", j + 1, 0]]})
-        for l, v in enumerate(x):
-            terms.append({"coeff": v, "vars": [["prod", i, j], ["beta", j + 1, l + 1]]})
-    return {"point": i, "constant": constant, "terms": terms}
-
-
-def _document(instance: MipInstance, residuals, constraints, X, y) -> dict:
+def instance_to_doc(instance: MipInstance) -> dict:
     return {
         "version": MIP_SCHEMA_VERSION,
         "note": (
             "indicators are binary: the quadratic row ind*(1-ind)=0 pins each "
-            "ind to {0,1}; prod rows are their per-piece products"
+            "ind to {0,1}; prod rows are their per-piece products.  Each "
+            "constraint family and the residual template expand over their "
+            "index shapes in C order"
         ),
         "n": instance.n,
         "d": instance.d,
@@ -182,114 +183,36 @@ def _document(instance: MipInstance, residuals, constraints, X, y) -> dict:
             "constraints": instance.constraint_count,
         },
         "variables": instance.variable_blocks(),
-        "objective": {
-            "sense": "minimize",
-            "form": "sum of squared point residuals",
-            "residuals": residuals,
-        },
-        "constraints": constraints,
-        "data": {"X": X, "y": y},
+        "objective": instance.objective(),
+        "constraints": instance.constraints(),
+        "data": {"X": instance.X.tolist(), "y": instance.y.tolist()},
     }
 
 
-def instance_to_doc(instance: MipInstance) -> dict:
-    return _document(
-        instance,
-        instance.objective_terms(),
-        instance.constraints(),
-        instance.X.tolist(),
-        instance.y.tolist(),
-    )
-
-
-# The skeleton holds each bulk list as one marker item, which json writes as "\u0000name".
-_MARK = "\x00"
-_MARKED = re.compile(r'"\\u0000(\w+)"')
-_SLOT = re.compile(r'"%%\((\w+)\)s"')
-
-
-def _slot(name: str) -> str:
-    return f"%({name})s"
-
-
-def _template(item, indent: str) -> str:
-    """json's text of a list item at `indent`, with its "%(name)s" strings as % slots."""
-    text = json.dumps(item, sort_keys=True, indent=2).replace("%", "%%")
-    return _SLOT.sub(r"%(\1)s", text).replace("\n", "\n" + indent)
-
-
-def _json_float(v: float) -> str:
-    return repr(v) if math.isfinite(v) else json.dumps(v)
-
-
-def _bulk_rows(instance: MipInstance, name: str, indent: str):
-    """The item texts of one bulk list of the document, written at `indent`."""
-    if name == "constraints":
-        templates = {
-            row["family"]: _template(
-                {key: v if key == "family" else _slot(key) for key, v in row.items()}, indent
-            )
-            for row in _constraint_rows(1, 1, 1)
-        }
-        for row in _constraint_rows(instance.n, instance.M, instance.K):
-            yield templates[row["family"]] % row
-        return
-    xs = [f"x{l}" for l in range(instance.d)]
-    item = {
-        "residuals": _residual(_slot("i"), [_slot(x) for x in xs], _slot("c"), instance.M),
-        "X": [_slot(x) for x in xs],
-        "y": _slot("y"),
-    }[name]
-    template = _template(item, indent)
-    for i, (x, v) in enumerate(zip(instance.X.tolist(), instance.y.tolist())):
-        fields = dict(zip(xs, map(_json_float, x)), i=i, c=_json_float(-v), y=_json_float(v))
-        yield template % fields
-
-
 def export_mip(instance: MipInstance, path) -> None:
-    """Write the program as canonical JSON (sorted keys, full precision).
-
-    The file is json.dumps(instance_to_doc(instance), sort_keys=True,
-    indent=2) plus a newline, byte for byte, without building that
-    document: json writes a skeleton in which each bulk list (residuals,
-    constraints, data) holds one marker, and each list's rows are filled
-    into templates that json made from one row of placeholders.
-    """
-    bulk = [[_MARK + name] if instance.n else [] for name in ("residuals", "constraints", "X", "y")]
-    parts = _MARKED.split(json.dumps(_document(instance, *bulk), sort_keys=True, indent=2))
-    with open(path, "w") as fh:
-        fh.write(parts[0])
-        for k in range(1, len(parts), 2):
-            indent = parts[k - 1][parts[k - 1].rfind("\n") + 1 :]
-            rows = _bulk_rows(instance, parts[k], indent)
-            fh.write(next(rows))
-            fh.writelines(",\n" + indent + row for row in rows)
-            fh.write(parts[k + 1])
-        fh.write("\n")
+    """Write the program as canonical JSON, with the writer that models use."""
+    _dump(instance_to_doc(instance), path)
 
 
 def _instance_from_doc(doc) -> MipInstance:
-    if doc["version"] != MIP_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported document version {doc['version']}")
-    n, d = int(doc["n"]), int(doc["d"])
-    instance = MipInstance(
-        n=n,
-        d=d,
-        M=int(doc["M"]),
-        K=int(doc["K"]),
-        tau=float(doc["tau"]),
-        X=np.array(doc["data"]["X"], dtype=float).reshape(n, d),
-        y=np.array(doc["data"]["y"], dtype=float),
-    )
+    version = _integer(doc["version"], "version")
+    if version != MIP_SCHEMA_VERSION:
+        raise SchemaError(f"unsupported document version {version}")
+    n, d, M, K = (_integer(doc[key], key) for key in ("n", "d", "M", "K"))
+    X = np.array(doc["data"]["X"], dtype=float).reshape(n, d)
+    y = np.array(doc["data"]["y"], dtype=float)
+    instance = MipInstance(n, d, M, K, float(doc["tau"]), X, y)
     counts = doc["counts"]
     if (counts["constraints"], counts["local_continuous_variables"]) != (
         instance.constraint_count,
         instance.local_continuous_count,
     ):
         raise SchemaError("document header counts disagree with its declared sizes")
+    if doc["constraints"] != instance.constraints() or doc["objective"] != instance.objective():
+        raise SchemaError("constraint families or residual template disagree with the sizes")
     return instance
 
 
 def load_mip(path) -> MipInstance:
-    """Read an exported program back into an instance, checking its header."""
+    """Read an exported program back into an instance, checking it against its sizes."""
     return _load(path, _instance_from_doc)

@@ -1,10 +1,11 @@
 """JSON persistence for piecewise models and generator ground truths.
 
 _load is the one reader of every JSON document: models, ground truths,
-exported programs (mip.load_mip) and PLDC specs.  Written documents are
-canonical: sorted keys, two-space indent, trailing newline, reals
-serialized at full precision (shortest round-trip form), so saving the
-same value twice produces identical bytes.
+exported programs (mip.load_mip) and PLDC specs.  _dump is the one
+writer, of models, truths and programs (mip.export_mip).  Written
+documents are canonical: sorted keys, two-space indent, trailing
+newline, reals serialized at full precision (shortest round-trip form),
+so saving the same value twice produces identical bytes.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ def _load(path, convert):
         raise SchemaError(f"{path}: malformed document: {exc}") from exc
 
 
+def _integer(value, name) -> int:
+    """value, which must be a JSON integer: true and 2.9 are malformed, not 1 and 2."""
+    if type(value) is not int:
+        raise TypeError(f"{name!r} must be an integer, not {value!r}")
+    return value
+
+
 def model_to_doc(model: CalfModel) -> dict:
     return {
         "version": SCHEMA_VERSION,
@@ -76,12 +84,13 @@ def model_to_doc(model: CalfModel) -> dict:
 
 def model_from_doc(doc, path="<doc>") -> CalfModel:
     """The model a document describes; the constructors check its dimensions."""
-    if doc["version"] != SCHEMA_VERSION:
-        raise SchemaError(f"{path}: schema version {doc['version']} != {SCHEMA_VERSION}")
+    version, d = _integer(doc["version"], "version"), _integer(doc["d"], "d")
+    if version != SCHEMA_VERSION:
+        raise SchemaError(f"{path}: schema version {version} != {SCHEMA_VERSION}")
     default = LinearModel(coeffs=doc["default"]["coeffs"])
-    if default.d != doc["d"]:
+    if default.d != d:
         raise DimensionMismatchError(
-            f"{path}: default has {default.d} features, document says d={doc['d']!r}"
+            f"{path}: default has {default.d} features, document says d={d}"
         )
     pieces = tuple(
         (
@@ -124,7 +133,7 @@ def load_truth(path) -> GroundTruth:
             noise_sigma=float(doc["sigma"]),
             separation_delta=float(doc["delta"]),
             margin_epsilon=float(doc["epsilon"]),
-            assignments=doc["assignments"],
+            assignments=[_integer(a, "assignments") for a in doc["assignments"]],
         )
 
     return _load(path, convert)

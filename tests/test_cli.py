@@ -136,6 +136,32 @@ def test_bad_inputs_exit_1(tmp_path):
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("gen", "--out"), ("gen", "--truth"), ("fit", "--out"), ("fit", "--report"),
+    ("predict", "--out"), ("export-mip", "--out"), ("pldc-convert", "--out"),
+])
+def test_an_output_under_a_missing_directory_exits_1(tmp_path, command, flag):
+    data_path = tmp_path / "plateau.csv"
+    plateau_csv(data_path)
+    model_path = tmp_path / "model.json"
+    save_model(CalfModel(default=LinearModel(coeffs=np.array([0.0, 1.0]))), model_path)
+    spec = tmp_path / "spec.json"
+    term = {"a": [1.0], "c": 0.0}
+    spec.write_text(json.dumps({"plus_terms": [term], "minus_terms": [term]}))
+    inputs = {
+        "gen": ("--n", 20, "--d", 1, "--m", 1),
+        "fit": ("--data", data_path, "--algo", "naive"),
+        "predict": ("--model", model_path, "--data", data_path),
+        "export-mip": ("--data", data_path, "--m", 1, "--k", 2),
+        "pldc-convert": ("--spec", spec),
+    }[command]
+    # The command's other outputs go to their defaults in tmp_path.
+    r = run_cli(command, *inputs, flag, tmp_path / "missing" / "out", cwd=tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error: ") and "missing" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_eval_reports_an_oversized_csv_cell_as_an_error(tmp_path):
     data_path = tmp_path / "plateau.csv"
     plateau_csv(data_path)

@@ -91,6 +91,20 @@ def test_post_carves_overlap_strips():
     assert not area.contains(np.array([5.0])) and not area.contains(np.array([-5.0]))
 
 
+@pytest.mark.parametrize("seed", [43, 65])
+def test_assembly_carves_a_strip_area_on_max_affine_data(max_affine_data, seed):
+    data = max_affine_data(seed)
+    with mock.patch.object(fitting, "post", wraps=fitting.post) as spy:
+        model = cas_calr(data, FitConfig(m=2, seed=seed, max_samples=3000))
+    assert model.fit_info["attempts"] == 1
+    assert spy.call_count == 1
+    assert model.m == 3  # two pieces plus the strip that post carved
+    assert len(overlapping_training_points(model, data.X)) == 0
+    # Without the strip, a row fitting two models falls to one that misses it by more than eps.
+    residuals = np.abs(model.predict_batch(data.X) - data.y)
+    assert np.max(residuals) < model.fit_info["epsilon"]
+
+
 def test_post_rejects_contract_violations():
     a = LinearModel(coeffs=np.array([0.0, 0.0]))
     b = LinearModel(coeffs=np.array([0.0, 1.0]))

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -100,6 +101,26 @@ def test_schema_rejections(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError):
         load_model(path)
+
+
+def test_integer_fields_reject_booleans_and_fractions(tmp_path):
+    path = tmp_path / "doc.json"
+    one_d = {"version": 1, "d": 1, "default": {"coeffs": [0.0, 1.0]}, "pieces": []}
+    for field, value in (("version", True), ("d", True), ("d", 1.0)):
+        path.write_text(json.dumps(dict(one_d, **{field: value})))
+        with pytest.raises(SchemaError, match=f"'{field}' must be an integer"):
+            load_model(path)
+
+    _, truth = generate_separable(40, 2, 1, 0.05, 1.0, seed=6)
+    save_truth(truth, path)
+    doc = json.loads(path.read_text())
+    for assignments in ([a + 0.9 for a in doc["assignments"]], [True] + doc["assignments"][1:]):
+        path.write_text(json.dumps(dict(doc, assignments=assignments)))
+        with pytest.raises(SchemaError, match="'assignments' must be an integer"):
+            load_truth(path)
+    for assignments in (truth.assignments + 0.9, truth.assignments.astype(bool)):
+        with pytest.raises(InputError, match="assignments must be integers"):
+            dataclasses.replace(truth, assignments=assignments)
 
 
 def test_truth_round_trip(tmp_path):

@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--target-column", default=None)
     p.add_argument("--out", default="model.json")
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_fit, algo="naive")
+    p.set_defaults(func=cmd_fit, algo="naive", m=1)
 
     p = sub.add_parser("predict", help="append a prediction column to feature rows")
     p.add_argument("--model", required=True)
@@ -148,6 +148,8 @@ def _emit_report(text: str, path) -> None:
 def cmd_fit(args) -> int:
     data = load_csv(args.data, target_column=args.target_column)
     if args.algo == "naive":
+        if args.m != 1:
+            raise InputError("this solver handles exactly one piece (m=1)")
         model = naive_calr(data, cap=args.cap)
         save_model(model, args.out)
         _emit_report(_fit_report(model, data, "ok"), args.report)

@@ -3,7 +3,8 @@
 Three solution paths live here:
 
 * naive_calr: exact single-piece solver by subset enumeration (small n):
-  SSE lower bounds from one batched Householder QR per subset size, each
+  SSE lower bounds from one pass over the subset lattice, each subset's
+  QR factor grown from its parent's by one Givens row update and each
   subset scored once, _ols only in the tie window;
 * cas_calr: the sampling solver — draw d+1 points near a random anchor,
   gate on y not flat on them (the F-test on d+1 points), an empty sample
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, count
+from itertools import combinations, count
 
 import numpy as np
 
@@ -489,12 +490,12 @@ def cas2(data: Dataset, config: FitConfig) -> CalfModel:
 
 
 def _svd_sse_floor(A, Y):
-    """_sse_floor's fallback: one SVD per system, with _ols's RCOND cutoff.
+    """_subset_floors's fallback: one SVD per system, with _ols's RCOND cutoff.
 
     Each system's least-squares residual is y minus its projection on the
     left singular vectors whose singular values lie above RCOND times the
-    largest, as _ols's lstsq keeps them; the slack is _sse_floor's, with
-    cond the ratio of the largest kept singular value to the smallest.
+    largest, as _ols's lstsq keeps them; the slack is _subset_floors's,
+    with cond the ratio of the largest kept singular value to the smallest.
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     keep = s > RCOND * s[:, :1]
@@ -504,46 +505,70 @@ def _svd_sse_floor(A, Y):
     return np.maximum(np.linalg.norm(r, axis=1) - slack, 0.0) ** 2
 
 
-def _sse_floor(A, Y):
-    """Lower bound on the SSE that _ols computes for each stacked system A[c] b ~ Y[c].
+def _subset_floors(A, y, sizes):
+    """Every k-subset of A's rows for k in sizes, with a lower bound on its _ols SSE.
 
-    Householder QR runs over the whole (N, k, p) stack at once, one
-    reflection per column, so no system pays for a LAPACK call; the
-    residual is the norm of (Q^T y)[p:].  Rounding moves a least-squares
-    residual by about eps * cond * ||y||, in this computation and in
-    lstsq's, so the residual norm is lowered by a generous multiple of
-    that before it is squared; cond is bounded from above by
-    ||R||_F * ||R^-1||_F.  A system whose bound passes _QR_COND_LIMIT, or
-    is not finite, goes to _svd_sse_floor, where the RCOND cutoff decides
-    as in _ols.  Below the limit lstsq keeps every singular value, so the
-    full projection leaves no more residual than lstsq's.
+    Returns {k: (masks, floors)}: one mask row per k-subset, in
+    combinations order, and the floor of the system A[mask] b ~ y[mask].
+    One pass over the subset lattice, level by level: the children of a
+    subset add one row j past its last row, in increasing j, so each level
+    keeps combinations order.  A child copies its parent's R (p x p),
+    Q^T y and residual sum of squares and takes row j in with p Givens
+    rotations, O(p^2) work instead of a QR over its k rows.  Rounding
+    moves a least-squares residual by about eps * cond * ||y||, in these
+    backward-stable updates and in lstsq, so the residual norm is lowered
+    by a generous multiple of that before it is squared; cond is bounded
+    from above by ||R||_F * ||R^-1||_F.  A system whose bound passes
+    _QR_COND_LIMIT, or is not finite, goes to _svd_sse_floor, where the
+    RCOND cutoff decides as in _ols.  Below the limit lstsq keeps every
+    singular value, so the full projection leaves no more residual than
+    lstsq's.
     """
-    R, QtY = A.copy(), Y.copy()
-    p = R.shape[2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(p):
-            v = R[:, j:, j].copy()
-            norm = np.linalg.norm(v, axis=1)
-            v[:, 0] += np.copysign(norm, v[:, 0])
-            # A zero column makes v NaN: that system's bound is not finite.
-            v *= np.sqrt(2.0 / np.einsum("ci,ci->c", v, v))[:, None]
-            R[:, j:, j:] -= v[:, :, None] * np.einsum("ci,cij->cj", v, R[:, j:, j:])[:, None, :]
-            QtY[:, j:] -= v * np.einsum("ci,ci->c", v, QtY[:, j:])[:, None]
-        R = np.triu(R[:, :p, :])
-        # Back-substitution for R^-1, one row at a time from the bottom.
-        R_inv = np.zeros_like(R)
-        for i in range(p - 1, -1, -1):
-            R_inv[:, i, i] = 1.0 / R[:, i, i]
-            R_inv[:, i, i + 1 :] = -R_inv[:, i, i, None] * np.einsum(
-                "cl,clj->cj", R[:, i, i + 1 :], R_inv[:, i + 1 :, i + 1 :]
-            )
-        cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2))
-        slack = _ROUNDING_SLACK * cond * np.linalg.norm(Y, axis=1)
-        floors = np.maximum(np.linalg.norm(QtY[:, p:], axis=1) - slack, 0.0) ** 2
-    ill = ~(cond <= _QR_COND_LIMIT)
-    if np.any(ill):
-        floors[ill] = _svd_sse_floor(A[ill], Y[ill])
-    return floors
+    n, p = A.shape
+    masks = np.zeros((1, n), dtype=bool)
+    last = np.full(1, -1)
+    # Subsets run along the last axis, so each row of R is contiguous.
+    R, qty, sse, yy = np.zeros((p, p, 1)), np.zeros((p, 1)), np.zeros(1), np.zeros(1)
+    levels = {}
+    for k in range(1, sizes[-1] + 1):
+        # A subset's children take the rows after its last, in order.
+        counts = n - 1 - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        first = (np.cumsum(counts) - counts)[parent]
+        last = last[parent] + 1 + np.arange(len(parent)) - first
+        masks = masks[parent]
+        masks[np.arange(len(parent)), last] = True
+        R, qty, a, b = R[:, :, parent], qty[:, parent], A[last].T.copy(), y[last]
+        for i in range(p):
+            r = np.hypot(R[i, i], a[i])
+            c = np.divide(R[i, i], r, out=np.ones_like(r), where=r > 0)
+            s = np.divide(a[i], r, out=np.zeros_like(r), where=r > 0)
+            R_i = R[i, i + 1 :].copy()
+            R[i, i + 1 :] = c * R_i + s * a[i + 1 :]
+            a[i + 1 :] = c * a[i + 1 :] - s * R_i
+            R[i, i] = r
+            qty[i], b = c * qty[i] + s * b, c * b - s * qty[i]
+        sse, yy = sse[parent] + b * b, yy[parent] + y[last] ** 2
+        if k not in sizes:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Back-substitution for R^-1, one row at a time from the bottom;
+            # a zero on R's diagonal makes that system's bound not finite.
+            R_inv = np.zeros_like(R)
+            for i in range(p - 1, -1, -1):
+                R_inv[i, i] = 1.0 / R[i, i]
+                R_inv[i, i + 1 :] = -R_inv[i, i] * np.einsum(
+                    "lc,ljc->jc", R[i, i + 1 :], R_inv[i + 1 :, i + 1 :]
+                )
+            cond = np.sqrt(np.einsum("ijc,ijc->c", R, R) * np.einsum("ijc,ijc->c", R_inv, R_inv))
+            slack = _ROUNDING_SLACK * cond * np.sqrt(yy)
+            floors = np.maximum(np.sqrt(sse) - slack, 0.0) ** 2
+        ill = ~(cond <= _QR_COND_LIMIT)
+        if np.any(ill):
+            rows = np.nonzero(masks[ill])[1].reshape(-1, k)
+            floors[ill] = _svd_sse_floor(A[rows], y[rows])
+        levels[k] = masks, floors
+    return levels
 
 
 def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
@@ -554,16 +579,16 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     the area-plus-complement model with the smallest total squared error
     (_ols's, ties to the earlier subset in combinations order); falls
     back to the single global fit when it ties or nothing separates.
-    Batched SSE lower bounds, _ols only in the tie window: _sse_floor
-    bounds every k-subset's _ols SSE from below, all subsets of one size
-    in one batched Householder QR, allowing for rounding in proportion to
-    the system's condition and ||y||.  Each subset is scored once: the
-    complement of the i-th k-subset in combinations order is the
-    (C(n, k)-1-i)-th (n-k)-subset, so a candidate's bound is its subset's
-    plus the mirrored entry of the other size.  Only candidates whose
-    bound reaches the walk's front get fitted by _ols, which settles their
-    order.  The exponential loop refuses to run past the cap unless
-    raised.
+    SSE lower bounds, _ols only in the tie window: _subset_floors bounds
+    every k-subset's _ols SSE from below in one pass over the subset
+    lattice, each subset's QR factor its parent's plus one Givens row
+    update, allowing for rounding in proportion to the system's condition
+    and ||y||.  Each subset is scored once: the complement of the i-th
+    k-subset in combinations order is the (C(n, k)-1-i)-th (n-k)-subset,
+    so a candidate's bound is its subset's plus the mirrored entry of the
+    other size.  Only candidates whose bound reaches the walk's front get
+    fitted by _ols, which settles their order.  The exponential loop
+    refuses to run past the cap unless raised.
     """
     n, d = data.n, data.d
     if n > cap:
@@ -583,20 +608,11 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     sizes = range(d + 1, n - d)
     if not sizes:
         return _global_model(data)
-    A = np.column_stack([np.ones(n), X])
-    masks, own = [], {}
-    for k in sizes:
-        # Every k-subset's rows, in combinations order, scored once.
-        inside = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.intp)
-        inside = inside.reshape(-1, k)
-        mk = np.zeros((len(inside), n), dtype=bool)
-        mk[np.arange(len(inside))[:, None], inside] = True
-        masks.append(mk)
-        own[k] = _sse_floor(A[inside], y[inside])
-    masks = np.concatenate(masks)
+    levels = _subset_floors(np.column_stack([np.ones(n), X]), y, sizes)
+    masks = np.concatenate([levels[k][0] for k in sizes])
     # The complement of the i-th k-combination is the (C(n, k)-1-i)-th
     # (n-k)-combination, so each side's floor is read off one array.
-    floors = np.concatenate([own[k] + own[n - k][::-1] for k in sizes])
+    floors = np.concatenate([levels[k][1] + levels[n - k][1][::-1] for k in sizes])
     order = np.argsort(floors, kind="stable")
     fitted = []  # heap of (_ols SSE, enumeration index, f_in, f_out)
     pos = 0

@@ -87,11 +87,12 @@ def _ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
         raise InputError("need at least one row to fit")
     A = np.concatenate([np.ones((n, 1)), X], axis=1)
     beta, _, _, _ = np.linalg.lstsq(A, y, rcond=RCOND)
-    resid = y - A @ beta
+    fitted = A @ beta
+    resid = y - fitted
     sse = float(resid @ resid)
     mean_sq = sse / n
     ybar = float(np.mean(y))
-    ssr = float(np.sum((A @ beta - ybar) ** 2))
+    ssr = float(np.sum((fitted - ybar) ** 2))
     return LinearModel(
         coeffs=beta,
         mse=mean_sq,

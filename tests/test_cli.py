@@ -108,8 +108,9 @@ def test_bad_inputs_exit_1(tmp_path):
     assert r.returncode == 1 and "error:" in r.stderr
     data_path = tmp_path / "data.csv"
     plateau_csv(data_path)
-    r = run_cli("fit", "--data", data_path, "--algo", "cas2", "--m", 3)
-    assert r.returncode == 1
+    for algo in ("cas2", "naive"):
+        r = run_cli("fit", "--data", data_path, "--algo", algo, "--m", 3)
+        assert r.returncode == 1 and "exactly one piece (m=1)" in r.stderr, algo
     for flag, value in (("--delta", 0), ("--delta", "nan"), ("--epsilon", "nan"),
                         ("--epsilon", "inf")):
         r = run_cli("fit", "--data", data_path, flag, value)

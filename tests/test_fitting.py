@@ -285,55 +285,103 @@ def test_complement_of_a_combination_is_the_mirrored_combination():
                 assert outside[len(inside) - 1 - i] == rest
 
 
+def test_subset_pass_enumerates_in_combinations_order():
+    # Tie order and the mirrored complement read both rely on this order.
+    rng = np.random.default_rng(3)
+    for n in range(1, 11):
+        X = rng.uniform(-1.0, 1.0, size=(n, 1))
+        A = np.column_stack([np.ones(n), X])
+        levels = fitting._subset_floors(A, rng.uniform(size=n), range(1, n + 1))
+        assert sorted(levels) == list(range(1, n + 1))
+        for k, (masks, floors) in levels.items():
+            rows = np.nonzero(masks)[1].reshape(-1, k)
+            assert rows.tolist() == [list(c) for c in combinations(range(n), k)]
+            assert floors.shape == (comb(n, k),)
+
+
+def _every_subset(A, y, low):
+    """(rows, floor) for every subset of A's rows with at least low rows."""
+    levels = fitting._subset_floors(A, y, range(low, len(A) + 1))
+    for k, (masks, floors) in levels.items():
+        yield np.nonzero(masks)[1].reshape(-1, k), floors
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
-def test_sse_floor_lies_below_the_least_squares_sse(draw):
+def test_subset_floor_lies_below_the_least_squares_sse(draw):
     # Nearly collinear columns raise the condition number up to the RCOND
-    # cutoff, and rounding moves a least-squares residual in proportion.
-    # Each system of a stack has its own tilt, so one stack can straddle
-    # the limit past which a floor comes from the SVD fallback.
+    # cutoff, and rounding moves a least-squares residual in proportion;
+    # the fewer rows a subset has, the worse its conditioning, so one
+    # input's subsets can straddle the limit past which a floor comes
+    # from the SVD fallback.
     d = draw.draw(st.integers(1, 3), label="d")
-    rows = draw.draw(st.integers(d + 1, 8), label="rows")
-    X = draw.draw(arrays(float, (5, rows, d), elements=st.floats(-5.0, 5.0)), label="X")
-    tilts = draw.draw(
-        st.lists(st.sampled_from([0.0, 1e-3, 1e-6, 1e-7, 1e-8, 1e-9]), min_size=5, max_size=5),
-        label="tilts",
-    )
-    for c, tilt in enumerate(tilts):
-        if tilt:
-            X[c, :, -1] = 2.0 * X[c, :, 0] - 1.0 + tilt * X[c, :, -1]
-    y = draw.draw(arrays(float, (5, rows), elements=st.floats(-5.0, 5.0)), label="y")
+    n = draw.draw(st.integers(d + 1, 8), label="n")
+    X = draw.draw(arrays(float, (n, d), elements=st.floats(-5.0, 5.0)), label="X")
+    tilt = draw.draw(st.sampled_from([0.0, 1e-3, 1e-6, 1e-7, 1e-8, 1e-9]), label="tilt")
+    if tilt:
+        X[:, -1] = 2.0 * X[:, 0] - 1.0 + tilt * X[:, -1]
+    y = draw.draw(arrays(float, n, elements=st.floats(-5.0, 5.0)), label="y")
     y = y + draw.draw(st.sampled_from([0.0, 1e4, 1e6, 1e8]), label="y offset")
-    A = np.concatenate([np.ones((5, rows, 1)), X], axis=2)
-    floors = fitting._sse_floor(A, y)
-    for c in range(5):
-        f = _ols(X[c], y[c])
-        assert 0.0 <= floors[c] <= f.mse * rows
+    A = np.column_stack([np.ones(n), X])
+    for rows, floors in _every_subset(A, y, d + 1):
+        for idx, floor in zip(rows, floors):
+            f = _ols(X[idx], y[idx])
+            assert 0.0 <= floor <= f.mse * len(idx)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
-def test_sse_floor_of_a_rank_deficient_stack_is_the_svd_floor(draw):
+def test_subset_floor_of_a_rank_deficient_input_is_the_svd_floor(draw):
     # Exactly rank-deficient systems are where the RCOND cutoff decides the
     # SSE, so their floors must come from the SVD fallback unchanged.
     d = draw.draw(st.integers(1, 3), label="d")
-    rows = draw.draw(st.integers(d + 1, 8), label="rows")
-    X = draw.draw(arrays(float, (5, rows, d), elements=st.floats(-5.0, 5.0)), label="X")
+    n = draw.draw(st.integers(d + 1, 8), label="n")
+    X = draw.draw(arrays(float, (n, d), elements=st.floats(-5.0, 5.0)), label="X")
     shapes = ["constant column", "duplicate rows"] + (["collinear"] if d > 1 else [])
     shape = draw.draw(st.sampled_from(shapes), label="shape")
     if shape == "constant column":
-        X[:, :, -1] = 1.5
+        X[:, -1] = 1.5
     elif shape == "duplicate rows":
-        X[:, :, :] = X[:, :1, :]
+        X[:, :] = X[:1, :]
     else:
-        X[:, :, -1] = 2.0 * X[:, :, 0] - 1.0
-    y = draw.draw(arrays(float, (5, rows), elements=st.floats(-5.0, 5.0)), label="y")
+        X[:, -1] = 2.0 * X[:, 0] - 1.0
+    y = draw.draw(arrays(float, n, elements=st.floats(-5.0, 5.0)), label="y")
     y = y + draw.draw(st.sampled_from([0.0, 1e4]), label="y offset")
-    A = np.concatenate([np.ones((5, rows, 1)), X], axis=2)
-    floors = fitting._sse_floor(A, y)
-    assert np.array_equal(floors, fitting._svd_sse_floor(A, y))
-    for c in range(5):
-        assert floors[c] <= _ols(X[c], y[c]).mse * rows
+    A = np.column_stack([np.ones(n), X])
+    for rows, floors in _every_subset(A, y, d + 1):
+        assert np.array_equal(floors, fitting._svd_sse_floor(A[rows], y[rows]))
+        for idx, floor in zip(rows, floors):
+            assert floor <= _ols(X[idx], y[idx]).mse * len(idx)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_naive_solver_does_not_depend_on_its_floors(draw):
+    # Floors only decide how many candidates _ols fits; with every floor 0
+    # the walk fits them all, and must still return the same model.
+    d = draw.draw(st.sampled_from([1, 2]), label="d")
+    n = draw.draw(st.integers(d + 3, 9), label="n")
+    coord = draw.draw(
+        st.sampled_from([st.floats(-5.0, 5.0), st.integers(-3, 3).map(float)]), label="grid"
+    )
+    X = draw.draw(arrays(float, (n, d), elements=coord), label="X")
+    y = draw.draw(arrays(float, n, elements=coord), label="y")
+    half = n // 2
+    if draw.draw(st.booleans(), label="mirrored"):
+        X[half : 2 * half] = X[:half]
+        X[half : 2 * half, 0] *= -1.0
+        y[half : 2 * half] = y[:half]
+    data = Dataset(X=X, y=y + draw.draw(st.sampled_from([0.0, 1e6]), label="y offset"))
+    want = json.dumps(model_to_doc(naive_calr(data)), sort_keys=True)
+    real_floors = fitting._subset_floors
+
+    def zero_floors(A, y, sizes):
+        levels = real_floors(A, y, sizes)
+        return {k: (masks, np.zeros_like(floors)) for k, (masks, floors) in levels.items()}
+
+    with mock.patch.object(fitting, "_subset_floors", zero_floors):
+        got = json.dumps(model_to_doc(naive_calr(data)), sort_keys=True)
+    assert got == want
 
 
 def _step_input():
@@ -349,32 +397,33 @@ def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
     X, y = _step_input()
     n = len(X)
     ols_rows = []
-    floor_shapes = []
+    passes = []
     svd_calls = []
-    real_ols, real_floor, real_svd = fitting._ols, fitting._sse_floor, np.linalg.svd
+    real_ols, real_floors, real_svd = fitting._ols, fitting._subset_floors, np.linalg.svd
 
     def ols_spy(X, y):
         ols_rows.append(len(X))
         return real_ols(X, y)
 
-    def floor_spy(A, Y):
-        floor_shapes.append(A.shape)
-        return real_floor(A, Y)
+    def floors_spy(A, y, sizes):
+        levels = real_floors(A, y, sizes)
+        passes.append({k: (masks.shape, floors.shape) for k, (masks, floors) in levels.items()})
+        return levels
 
     def svd_spy(A, *args, **kwargs):
         svd_calls.append(A.shape)
         return real_svd(A, *args, **kwargs)
 
     monkeypatch.setattr(fitting, "_ols", ols_spy)
-    monkeypatch.setattr(fitting, "_sse_floor", floor_spy)
+    monkeypatch.setattr(fitting, "_subset_floors", floors_spy)
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
     model = naive_calr(Dataset(X=X, y=y))
     assert model.m == 1
     # A per-subset loop fits both sides of every subset: 8,140 calls here.
     assert 0 < len(ols_rows) < 100
-    # Each subset is scored once, in one batch per size; its complement's
-    # floor is read from the batch of the complementary size.
-    assert floor_shapes == [(comb(n, k), k, 2) for k in range(2, n - 1)]
+    # Each subset is scored once, in one pass with C(n, k) floors per
+    # scored size; its complement's floor is read from the complementary size.
+    assert passes == [{k: ((comb(n, k), n), (comb(n, k),)) for k in range(2, n - 1)}]
     # Every system here is well conditioned, so no floor needs an SVD.
     assert svd_calls == []
 

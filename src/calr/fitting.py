@@ -5,7 +5,8 @@ Three solution paths live here:
 * naive_calr: exact single-piece solver by subset enumeration (small n):
   SSE lower bounds from one pass over the subset lattice, each subset's
   QR factor grown from its parent's by one Givens row update and each
-  subset scored once, _ols only in the tie window;
+  subset scored once; a walk in bound order that sorts only its front,
+  _ols only in the tie window;
 * cas_calr: the sampling solver — draw d+1 points near a random anchor,
   gate on y not flat on them (the F-test on d+1 points), an empty sample
   simplex and coefficient distance, shrink the residual set, then build
@@ -32,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import chain, combinations, count
 
 import numpy as np
 
@@ -528,17 +529,20 @@ def _subset_floors(A, y, sizes):
     masks = np.zeros((1, n), dtype=bool)
     last = np.full(1, -1)
     # Subsets run along the last axis, so each row of R is contiguous.
+    # take keeps that layout when it gathers the parents; R[:, :, parent]
+    # would return the subsets first in memory.
     R, qty, sse, yy = np.zeros((p, p, 1)), np.zeros((p, 1)), np.zeros(1), np.zeros(1)
     levels = {}
     for k in range(1, sizes[-1] + 1):
         # A subset's children take the rows after its last, in order.
         counts = n - 1 - last
         parent = np.repeat(np.arange(len(last)), counts)
-        first = (np.cumsum(counts) - counts)[parent]
-        last = last[parent] + 1 + np.arange(len(parent)) - first
-        masks = masks[parent]
+        first = (np.cumsum(counts) - counts).take(parent)
+        last = last.take(parent) + 1 + np.arange(len(parent)) - first
+        masks = masks.take(parent, axis=0)
         masks[np.arange(len(parent)), last] = True
-        R, qty, a, b = R[:, :, parent], qty[:, parent], A[last].T.copy(), y[last]
+        R, qty = R.take(parent, axis=2), qty.take(parent, axis=1)
+        a, b = A.take(last, axis=0).T.copy(), y.take(last)
         for i in range(p):
             r = np.hypot(R[i, i], a[i])
             c = np.divide(R[i, i], r, out=np.ones_like(r), where=r > 0)
@@ -548,7 +552,7 @@ def _subset_floors(A, y, sizes):
             a[i + 1 :] = c * a[i + 1 :] - s * R_i
             R[i, i] = r
             qty[i], b = c * qty[i] + s * b, c * b - s * qty[i]
-        sse, yy = sse[parent] + b * b, yy[parent] + y[last] ** 2
+        sse, yy = sse.take(parent) + b * b, yy.take(parent) + y.take(last) ** 2
         if k not in sizes:
             continue
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -571,6 +575,27 @@ def _subset_floors(A, y, sizes):
     return levels
 
 
+def _stable_front(floors):
+    """np.argsort(floors, kind="stable") in blocks, each sorted only when read.
+
+    A block holds the smallest floors not yet returned, found by
+    np.partition, and every other floor equal to the cut, sorted stably, so
+    each block continues the full stable order with equal floors in index
+    order.  Blocks start at 64 floors and grow 4x: a walk that reads a few
+    candidates sorts a few dozen, and one that reads them all sorts each
+    floor once.
+    """
+    rest = np.arange(len(floors))
+    block = 64
+    while block < len(rest):
+        vals = floors[rest]
+        front = vals <= np.partition(vals, block - 1)[block - 1]
+        yield rest[front][np.argsort(vals[front], kind="stable")]
+        rest = rest[~front]
+        block *= 4
+    yield rest[np.argsort(floors[rest], kind="stable")]
+
+
 def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     """Exact one-piece solver by exhaustive subset enumeration.
 
@@ -586,9 +611,12 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     and ||y||.  Each subset is scored once: the complement of the i-th
     k-subset in combinations order is the (C(n, k)-1-i)-th (n-k)-subset,
     so a candidate's bound is its subset's plus the mirrored entry of the
-    other size.  Only candidates whose bound reaches the walk's front get
-    fitted by _ols, which settles their order.  The exponential loop
-    refuses to run past the cap unless raised.
+    other size.  The walk takes candidates in the stable order of their
+    bounds, but _stable_front sorts only as far as it reads, a block at a
+    time; only candidates whose bound reaches the walk's front get fitted
+    by _ols, which settles their order.  The exponential loop refuses to
+    run past the cap unless raised, and a y whose sums of squares would
+    overflow is an InputError, decided before any of them is formed.
     """
     n, d = data.n, data.d
     if n > cap:
@@ -597,6 +625,14 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
             f"raise the cap ({cap}) explicitly to force it"
         )
     X, y = data.X, data.y
+    # Every sum of squares below, global or per subset, stays under
+    # 4 n max|y|^2 (one term of sum((y - mean)^2) reaches 4 max|y|^2).
+    top, limit = float(np.max(np.abs(y))), math.sqrt(np.finfo(float).max / (4 * n))
+    if top > limit:
+        raise InputError(
+            f"the sums of squares of y overflow: |y| reaches {top:.3g}, "
+            f"past {limit:.3g} for n={n}"
+        )
     global_fit = lr(data)
     global_sse = global_fit.mse * n
     # Ties are judged at rounding-noise resolution so an exactly-linear
@@ -609,32 +645,33 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     if not sizes:
         return _global_model(data)
     levels = _subset_floors(np.column_stack([np.ones(n), X]), y, sizes)
-    masks = np.concatenate([levels[k][0] for k in sizes])
     # The complement of the i-th k-combination is the (C(n, k)-1-i)-th
     # (n-k)-combination, so each side's floor is read off one array.
     floors = np.concatenate([levels[k][1] + levels[n - k][1][::-1] for k in sizes])
-    order = np.argsort(floors, kind="stable")
-    fitted = []  # heap of (_ols SSE, enumeration index, f_in, f_out)
-    pos = 0
+    # Candidate i is the (i - starts[j])-th subset of size sizes[j].
+    starts = np.cumsum([0] + [len(levels[k][1]) for k in sizes])
+    order = chain.from_iterable(_stable_front(floors))
+    nxt = next(order, None)
+    fitted = []  # heap of (_ols SSE, enumeration index, mask, f_in, f_out)
     while True:
         # Lower bound on the _ols SSE of every candidate not fitted yet.
-        floor = float(floors[order[pos]]) if pos < len(order) else math.inf
+        floor = math.inf if nxt is None else float(floors[nxt])
         if fitted and fitted[0][0] < floor:
             # The head comes first in (_ols SSE, index) order among all candidates.
-            sse, i, f_in, f_out = heapq.heappop(fitted)
+            sse, _, mask, f_in, f_out = heapq.heappop(fitted)
             if sse >= stop:
                 break  # remaining candidates cannot beat the zero-piece model
-            area = cac(X, masks[i])
+            area = cac(X, mask)
             if area is not None:
                 return CalfModel(default=f_out, pieces=((f_in, area),))
             continue
         if floor >= stop:
             break
-        i = int(order[pos])
-        pos += 1
-        mask = masks[i]
-        k = int(mask.sum())
+        i, nxt = int(nxt), next(order, None)
+        j = int(np.searchsorted(starts, i, side="right")) - 1
+        k = sizes[j]
+        mask = levels[k][0][i - starts[j]]
         f_in = _ols(X[mask], y[mask])
         f_out = _ols(X[~mask], y[~mask])
-        heapq.heappush(fitted, (f_in.mse * k + f_out.mse * (n - k), i, f_in, f_out))
+        heapq.heappush(fitted, (f_in.mse * k + f_out.mse * (n - k), i, mask, f_in, f_out))
     return _global_model(data)

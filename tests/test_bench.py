@@ -1,4 +1,4 @@
-"""The benchmark's contract, smoke-tested on a short traced fit-lp run."""
+"""The benchmark's contract, smoke-tested on short fit-lp and fit-exact runs."""
 
 import json
 import os
@@ -8,19 +8,25 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_fit_lp_run_is_correct_and_reads_the_fit_info():
-    # The tracer wraps functions by name, so a renamed target fails its
-    # install; bench/workloads.py reads fit_info with .get, so a missing
-    # samples_used, attempts or accepted_p_values key only zeroes these
-    # figures and would not fail the run.
+def _bench_lines(workload, trace):
+    """The output lines of a 0.5 s bench/run.py run, which must exit 0."""
     r = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "fit-lp", "--seconds", "0.5", "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "0.5",
+         "--trace", str(trace)],
         capture_output=True,
         text=True,
         cwd=ROOT,
     )
     assert r.returncode == 0, r.stderr
-    *_, facts_line, last_line = r.stdout.strip().splitlines()
+    return r.stdout.strip().splitlines()
+
+
+def test_traced_fit_lp_run_is_correct_and_reads_the_fit_info():
+    # The tracer wraps functions by name, so a renamed target fails its
+    # install; bench/workloads.py reads fit_info with .get, so a missing
+    # samples_used, attempts or accepted_p_values key only zeroes these
+    # figures and would not fail the run.
+    *_, facts_line, last_line = _bench_lines("fit-lp", 1)
     facts, last = json.loads(facts_line)["facts"], json.loads(last_line)
     assert last["correct"] is True
     assert last["failed"] == 0
@@ -34,3 +40,12 @@ def test_traced_fit_lp_run_is_correct_and_reads_the_fit_info():
     # Areas built nearest row first need about 5 half-spaces per piece
     # here; the planted boxes need 4.5.
     assert facts["halfspaces_per_piece"] <= 8
+
+
+def test_fit_exact_run_checks_every_exact_fit():
+    # bench/workloads.py's _check_exact_fit fails a naive_calr fit whose
+    # total squared error exceeds the global fit's, or whose piece area
+    # does not hold exactly the rows its two functions were fitted on.
+    last = json.loads(_bench_lines("fit-exact", 0)[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0

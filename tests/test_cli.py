@@ -111,6 +111,11 @@ def test_bad_inputs_exit_1(tmp_path):
     for algo in ("cas2", "naive"):
         r = run_cli("fit", "--data", data_path, "--algo", algo, "--m", 3)
         assert r.returncode == 1 and "exactly one piece (m=1)" in r.stderr, algo
+    huge = tmp_path / "huge.csv"
+    write_csv(Dataset(X=np.arange(9.0).reshape(-1, 1), y=1e200 * (np.arange(9.0) > 4)), huge)
+    r = run_cli("fit", "--data", huge, "--algo", "naive")
+    assert r.returncode == 1 and "sums of squares of y overflow" in r.stderr
+    assert "Traceback" not in r.stderr
     for flag, value in (("--delta", 0), ("--delta", "nan"), ("--epsilon", "nan"),
                         ("--epsilon", "inf")):
         r = run_cli("fit", "--data", data_path, flag, value)

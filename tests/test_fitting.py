@@ -384,9 +384,39 @@ def test_naive_solver_does_not_depend_on_its_floors(draw):
     assert got == want
 
 
-def _step_input():
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_stable_front_is_the_stable_argsort_on_every_prefix(draw):
+    # Small integers tie heavily, an all-equal array is what zeroed floors
+    # give the walk, and the lengths straddle the first blocks' ends
+    # (64, then 64 + 256 and 64 + 256 + 1024).
+    n = draw.draw(
+        st.one_of(
+            st.sampled_from([0, 1, 63, 64, 65, 256, 257, 319, 320, 321, 1344, 1345]),
+            st.integers(0, 400),
+        ),
+        label="n",
+    )
+    kind = draw.draw(st.sampled_from(["ties", "all equal", "with inf", "spread"]), label="kind")
+    if kind == "ties":
+        elements = st.integers(0, 3).map(float)
+    elif kind == "all equal":
+        elements = st.just(draw.draw(st.sampled_from([0.0, 1.5, np.inf]), label="value"))
+    elif kind == "with inf":
+        elements = st.sampled_from([0.0, 1.0, 2.5, np.inf])
+    else:
+        elements = st.floats(0.0, 1e6)
+    floors = draw.draw(arrays(float, n, elements=elements), label="floors")
+    want = np.argsort(floors, kind="stable")
+    got = np.zeros(0, dtype=want.dtype)
+    for block in fitting._stable_front(floors):
+        got = np.concatenate([got, block])
+        assert np.array_equal(got, want[: len(got)])
+    assert len(got) == n
+
+
+def _step_input(n=12):
     rng = np.random.default_rng(7)
-    n = 12
     X = rng.uniform(-4.0, 4.0, size=(n, 1))
     y = 0.5 * X[:, 0] + rng.normal(0.0, 0.3, size=n)
     y[X[:, 0] > 0.5] += 2.0
@@ -399,7 +429,9 @@ def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
     ols_rows = []
     passes = []
     svd_calls = []
+    ordered = []
     real_ols, real_floors, real_svd = fitting._ols, fitting._subset_floors, np.linalg.svd
+    real_front = fitting._stable_front
 
     def ols_spy(X, y):
         ols_rows.append(len(X))
@@ -414,8 +446,14 @@ def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
         svd_calls.append(A.shape)
         return real_svd(A, *args, **kwargs)
 
+    def front_spy(floors):
+        for block in real_front(floors):
+            ordered.append(len(block))
+            yield block
+
     monkeypatch.setattr(fitting, "_ols", ols_spy)
     monkeypatch.setattr(fitting, "_subset_floors", floors_spy)
+    monkeypatch.setattr(fitting, "_stable_front", front_spy)
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
     model = naive_calr(Dataset(X=X, y=y))
     assert model.m == 1
@@ -424,8 +462,26 @@ def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
     # Each subset is scored once, in one pass with C(n, k) floors per
     # scored size; its complement's floor is read from the complementary size.
     assert passes == [{k: ((comb(n, k), n), (comb(n, k),)) for k in range(2, n - 1)}]
+    # The walk sorts only its front: one block of the 4,070 candidates.
+    assert 0 < sum(ordered) < 100
     # Every system here is well conditioned, so no floor needs an SVD.
     assert svd_calls == []
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+def test_naive_solver_rejects_y_whose_sums_of_squares_overflow(scale):
+    # Past |y| ~ 1e154 the global SSE and the tie tolerance overflow, which
+    # leaves the walk no finite place to stop; numpy's overflow warning is
+    # an error under this suite's settings, so none may leak either.
+    X, y = _step_input(n=9)
+    if scale > 1e154:
+        with pytest.raises(InputError, match="sums of squares of y overflow"):
+            naive_calr(Dataset(X=X, y=scale * y))
+        return
+    model = naive_calr(Dataset(X=X, y=scale * y))
+    (_, area), = model.pieces
+    (_, unscaled), = naive_calr(Dataset(X=X, y=y)).pieces
+    assert np.array_equal(area.contains_batch(X), unscaled.contains_batch(X))
 
 
 def test_naive_solver_tie_window_ignores_an_offset_in_y():

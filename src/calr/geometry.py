@@ -56,9 +56,28 @@ def tol_geo(x) -> float:
 
 
 def _tol_geo_batch(X: np.ndarray) -> np.ndarray:
-    if len(X) == 0:
-        return np.zeros(0)
-    return GEO_TOL_SCALE * (1.0 + np.max(np.abs(X), axis=1))
+    """tol_geo of each row of X, its peak coordinate taken column by column."""
+    peak = np.abs(X[:, 0])
+    for j in range(1, X.shape[1]):
+        np.maximum(peak, np.abs(X[:, j]), out=peak)
+    return GEO_TOL_SCALE * (1.0 + peak)
+
+
+def _sq_dist(X, x):
+    """Squared distance of each row of X to x, np.sum((X - x) ** 2, axis=1).
+
+    The columns are added one at a time, in order, which skips numpy's
+    per-row reduction.  Its axis-1 sum adds up to 7 columns in this same
+    order, so the bits agree there; from 8 columns it sums pairwise and
+    the last bits can differ.
+    """
+    total = X[:, 0] - x[0]
+    total *= total
+    for j in range(1, X.shape[1]):
+        diff = X[:, j] - x[j]
+        diff *= diff
+        total += diff
+    return total
 
 
 @dataclass(eq=False)
@@ -284,7 +303,7 @@ def _gslp_reflect(x0, P):
     """
     n, d = P.shape
     A = P - x0
-    norms = np.linalg.norm(A, axis=1)
+    norms = np.sqrt(_sq_dist(P, x0))
     A_hat = A / norms[:, None]
     b = -1.0 / norms
     w = np.zeros(d)
@@ -494,8 +513,8 @@ def _construct_area(points, inside, search):
     order.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise DimensionMismatchError("points must be an (n, d) array")
+    if points.ndim != 2 or points.shape[1] == 0:
+        raise DimensionMismatchError("points must be an (n, d) array with d >= 1")
     if not np.all(np.isfinite(points)):
         raise InputError("points must be finite")
     inside = np.asarray(inside)
@@ -505,7 +524,7 @@ def _construct_area(points, inside, search):
     if len(D) == 0:
         raise InputError("the inside set must be nonempty")
     U = points[~inside]
-    U = U[np.argsort(np.sum((U - D.mean(axis=0)) ** 2, axis=1), kind="stable")]
+    U = U[np.argsort(_sq_dist(U, D.mean(axis=0)), kind="stable")]
     halfspaces = []
     excluded = np.zeros(len(U), dtype=bool)
     tols = _tol_geo_batch(U)

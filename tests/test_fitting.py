@@ -320,6 +320,11 @@ def test_subset_floor_lies_below_the_least_squares_sse(draw):
     tilt = draw.draw(st.sampled_from([0.0, 1e-3, 1e-6, 1e-7, 1e-8, 1e-9]), label="tilt")
     if tilt:
         X[:, -1] = 2.0 * X[:, 0] - 1.0 + tilt * X[:, -1]
+    if draw.draw(st.booleans(), label="near rows"):
+        # The first d+1 rows lie about 1e-9 apart: a subset holding them
+        # inherits a bound past the limit, and a back-substitution of its
+        # own decides whether its floor comes from its QR factor.
+        X[: d + 1] = X[0] + 2e-10 * X[: d + 1]
     y = draw.draw(arrays(float, n, elements=st.floats(-5.0, 5.0)), label="y")
     y = y + draw.draw(st.sampled_from([0.0, 1e4, 1e6, 1e8]), label="y offset")
     A = np.column_stack([np.ones(n), X])
@@ -421,6 +426,57 @@ def _step_input(n=12):
     y = 0.5 * X[:, 0] + rng.normal(0.0, 0.3, size=n)
     y[X[:, 0] > 0.5] += 2.0
     return X, y
+
+
+def test_lattice_cache_keeps_fits_identical_and_its_tables_read_only():
+    # Fits share the cached lattice of their n, so interleaved n from a
+    # cold cache or a warm one give the same models, and no fit may write
+    # to a table another fit reads.
+    inputs = [Dataset(*_step_input(n)) for n in (9, 11, 9, 12)]
+
+    def fit(data, cold):
+        if cold:
+            fitting._lattice.cache_clear()
+        return json.dumps(model_to_doc(naive_calr(data)), sort_keys=True)
+
+    cold = [fit(data, True) for data in inputs]
+    assert [fit(data, False) for data in inputs] == cold
+    X, y = _step_input(9)
+    levels = fitting._subset_floors(np.column_stack([np.ones(9), X]), y, range(2, 8))
+    tables = [table for level in fitting._lattice(9) for table in level]
+    for table in tables + [masks for masks, _ in levels.values()]:
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_assembly_skips_refits_that_would_repeat_a_fit():
+    # The models an attempt proposes were last fitted on rows that are
+    # mostly still their own at assembly, where a refit would repeat them.
+    data, _ = generate_separable(1000, 2, 2, 0.01, 1.0, seed=0)
+    real_refit = fitting._refit_within
+
+    def forgetful(X, y, F, eps, fitted=None):
+        if fitted is not None:
+            fitted[:] = [None] * len(F)
+        return real_refit(X, y, F, eps, fitted)
+
+    def fit(refit):
+        calls = []
+
+        def spy(X, y):
+            calls.append(len(X))
+            return _ols(X, y)
+
+        with mock.patch.object(fitting, "_ols", spy), mock.patch.object(
+            fitting, "_refit_within", refit
+        ):
+            model = cas_calr(data, FitConfig(m=2, seed=1000))
+        return json.dumps([model_to_doc(model), model.fit_info], sort_keys=True), len(calls)
+
+    want, every = fit(forgetful)
+    got, fewer = fit(real_refit)
+    assert got == want
+    assert fewer < every
 
 
 def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
@@ -765,13 +821,13 @@ def test_assembly_separates_only_the_pieces_when_all_are_separable(monkeypatch):
     real_assemble = fitting._assemble
     sizes, calls = [], []
 
-    def spy_assemble(data, F, eps, separate):
+    def spy_assemble(data, F, eps, separate, fitted):
         def spy(points, inside):
             calls.append(len(points))
             return separate(points, inside)
 
         sizes.append(len(F))
-        return real_assemble(data, F, eps, spy)
+        return real_assemble(data, F, eps, spy, fitted)
 
     monkeypatch.setattr(fitting, "_assemble", spy_assemble)
     data, _ = generate_separable(500, 2, 2, 0.01, 1.0, seed=0)

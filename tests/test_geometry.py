@@ -32,6 +32,25 @@ def svm_objective(h, pos, neg, c):
     return 0.5 * float(h.alpha @ h.alpha) + c * float(slack_pos.sum() + slack_neg.sum())
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_column_kernels_match_the_row_reductions_they_replace(draw):
+    # Numpy's axis-1 reduction adds up to 7 columns in column order, so the
+    # column loops keep every bit of the distances, norms and tolerances.
+    d = draw.draw(st.integers(1, 7), label="d")
+    n = draw.draw(
+        st.one_of(st.sampled_from([1, 2, 7, 8, 9, 16, 17, 4096]), st.integers(1, 3000)), label="n"
+    )
+    seed = draw.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+    x = X[rng.integers(n)] + rng.standard_normal(d)
+    assert np.array_equal(geometry._sq_dist(X, x), np.sum((X - x) ** 2, axis=1))
+    assert np.array_equal(np.sqrt(geometry._sq_dist(X, x)), np.linalg.norm(X - x, axis=1))
+    want = geometry.GEO_TOL_SCALE * (1.0 + np.max(np.abs(X), axis=1))
+    assert np.array_equal(geometry._tol_geo_batch(X), want)
+
+
 def test_tol_geo_scales_with_magnitude():
     assert tol_geo(np.zeros(2)) == 1e-9
     assert tol_geo(np.array([9.0, -3.0])) == 1e-9 * 10.0
@@ -515,6 +534,12 @@ def test_area_construction_takes_only_a_boolean_mask():
         ):
             with pytest.raises(DimensionMismatchError):
                 separate(points, inside)
+
+
+def test_area_construction_needs_points_with_a_coordinate():
+    for separate in (cac, cacs):
+        with pytest.raises(DimensionMismatchError):
+            separate(np.zeros((3, 0)), np.array([True, False, False]))
 
 
 @pytest.mark.parametrize(

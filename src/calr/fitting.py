@@ -3,11 +3,10 @@
 Three solution paths live here:
 
 * naive_calr: exact single-piece solver by subset enumeration (small n):
-  SSE lower bounds from one pass over the subset lattice, whose index
-  tables and masks are built once per n, each subset's QR factor grown
-  from its parent's by one Givens row update and each subset scored
-  once; a walk in bound order that sorts only its front, _ols only in
-  the tie window;
+  SSE lower bounds from one pass over the subset lattice, each subset's
+  QR factor grown from its parent's by one Givens row update and each
+  subset scored once; a walk in bound order that sorts only its front,
+  _ols only in the tie window;
 * cas_calr: the sampling solver — draw d+1 points near a random anchor,
   gate on y not flat on them (the F-test on d+1 points), an empty sample
   simplex and coefficient distance, shrink the residual set, then build
@@ -23,8 +22,7 @@ by one SVD of the sample.  The barycentric simplex test decides
 separability exactly, so cas_calr's sampling needs no separator.  One
 refit loop, _refit_within, refits a candidate on its within-eps rows
 until that row set stops changing, and every proposed model at assembly
-on the rows it alone fits, unless those are the rows it was last fitted
-on.
+on the rows it alone fits.
 
 All randomness goes through numpy's default PCG64 generator seeded from
 the config, so fits are deterministic per (data, config).
@@ -32,7 +30,6 @@ the config, so fits are deterministic per (data, config).
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -58,9 +55,9 @@ _SUPPORT_SHARE = 4
 _NEIGHBOURS_PER_POINT = 3
 _ROUNDING_SLACK = 1e-12
 _QR_COND_LIMIT = 1e8
+# A sum of squares above it lost at most 2^-62 of itself to underflow.
+_SQUARES_FLOOR = 2.0**-960
 NAIVE_CAP_DEFAULT = 16
-# Subset lattices kept, one per n; fit-exact cycles through three.
-_LATTICE_CACHE = 4
 
 
 @dataclass
@@ -147,27 +144,25 @@ def _within(X, y, F, eps):
     return np.array([np.abs(y - f.predict_batch(X)) < eps for f in F])
 
 
-def _refit_within(X, y, F, eps, fitted=None):
+def _refit_within(X, y, F, eps):
     """Refit each model of F on the rows only it fits until those rows settle.
 
     F is refitted in place; returns the within-eps masks of its last
     models.  A model with fewer than d+2 rows of its own keeps its fit.
     Unless _REFIT_CAP refits run out (a cycling set), each other model is
-    the fit of exactly its own rows.  fitted, kept in step with F, holds
-    the indices of the rows of X each model was last fitted on, or None:
-    a model whose own rows are those keeps its fit, which a refit would
+    the fit of exactly its own rows.  A model whose own rows are those it
+    was last refitted on in this call keeps its fit, which a refit would
     repeat bit for bit.
     """
     d = X.shape[1]
-    fitted = [None] * len(F) if fitted is None else fitted
+    fitted = [None] * len(F)
     fits = _within(X, y, F, eps)
     for _ in range(_REFIT_CAP):
         own = fits & (fits.sum(axis=0) == 1)
         refitted = False
         for i, rows in enumerate(own):
-            idx = np.flatnonzero(rows)
-            if len(idx) >= d + 2 and not np.array_equal(idx, fitted[i]):
-                F[i], fitted[i] = _ols(X[rows], y[rows]), idx
+            if int(rows.sum()) >= d + 2 and not np.array_equal(rows, fitted[i]):
+                F[i], fitted[i] = _ols(X[rows], y[rows]), rows
                 refitted = True
         if not refitted:
             break
@@ -235,7 +230,7 @@ class _Sampler:
         return self.draws >= self.budget
 
     def draw(self, X, y, rest=None):
-        """One draw of d+1 rows of (X, y): settle's triple, or None if a gate rejects it.
+        """One draw of d+1 rows of (X, y): (model, fit mask) or None if a gate rejects it.
 
         The sample is local: one anchor row drawn uniformly, plus d rows
         drawn from the anchor's k = 3(d+1) nearest other rows.  Close rows
@@ -260,19 +255,17 @@ class _Sampler:
         return None if f is None else self.settle(X, y, f)
 
     def settle(self, X, y, f):
-        """f refitted on its rows of (X, y) within eps, or None.
+        """f refitted on its rows of (X, y) within eps: (model, fit mask), or None.
 
-        Returns (model, fit mask, indices of the rows of X the model was
-        last fitted on); a model that reaches the support floor has been
-        refitted at least once.  None when fewer rows fit than that floor,
-        the larger of d+2 and n / (4(m+1)) for the n rows of X.
+        None when fewer rows fit than the support floor, the larger of d+2
+        and n / (4(m+1)) for the n rows of X.
         """
         n, d = X.shape
-        F, fitted = [f], [None]
-        fits = _refit_within(X, y, F, self.eps, fitted)[0]
+        F = [f]
+        fits = _refit_within(X, y, F, self.eps)[0]
         if int(fits.sum()) < max(d + 2, n // (_SUPPORT_SHARE * (self.m + 1))):
             return None
-        return F[0], fits, fitted[0]
+        return F[0], fits
 
 
 def post(H_partial, leftovers: Dataset, epsilon: float, exclude=None, separate=cac):
@@ -320,11 +313,10 @@ def _global_model(data: Dataset) -> CalfModel:
     return CalfModel(default=lr(data), pieces=())
 
 
-def _assemble(data, F, eps, separate, fitted):
+def _assemble(data, F, eps, separate):
     """Turn proposed models into a model whose piece areas share no training point.
 
-    F is refitted in place, so the returned model's functions are its
-    entries; fitted is _refit_within's, over the rows of data.
+    F is refitted in place, so the returned model's functions are its entries.
     """
     X, y = data.X, data.y
     n = data.n
@@ -339,7 +331,7 @@ def _assemble(data, F, eps, separate, fitted):
     # a refit that also swallowed a strip of the other's points; a model
     # grown from a band of its piece plus a few far points of another
     # region sheds them in the refit and regrows over its whole piece.
-    fits = _refit_within(X, y, F, eps, fitted)
+    fits = _refit_within(X, y, F, eps)
     counts = fits.sum(axis=0)
     unique = counts == 1
     # The best-supported model is the default unless another model's own
@@ -394,9 +386,8 @@ def _assemble(data, F, eps, separate, fitted):
 def _sample(data, config, propose):
     """The sampling loop shared by cas_calr and cas2: propose models, then assemble them.
 
-    Each attempt calls propose(sampler) once for a list of (model, indices
-    of the data rows it was last fitted on) pairs.  A list of m+1 goes
-    to _assemble; a shorter list, or an assembly that fails (a
+    Each attempt calls propose(sampler) once for a list of models.  A list
+    of m+1 goes to _assemble; a shorter list, or an assembly that fails (a
     separator failure counts as that), starts the next attempt on the same
     draw budget.  Returns the model, with the shared fit_info keys, and the
     list it was assembled from, refitted in place.  Raises
@@ -407,15 +398,12 @@ def _sample(data, config, propose):
     target = config.m + 1
     longest = []
     for attempts in count(1):
-        proposal = propose(sampler)
-        F = [f for f, _ in proposal]
+        F = propose(sampler)
         if len(F) > len(longest):
             longest = list(F)
         if len(F) == target:
             try:
-                model = _assemble(
-                    data, F, sampler.eps, sampler.separate, [rows for _, rows in proposal]
-                )
+                model = _assemble(data, F, sampler.eps, sampler.separate)
             except (SeparabilityError, ConvergenceError):
                 pass
             else:
@@ -466,10 +454,10 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
             drawn = sampler.draw(X_rest, y_rest, A_rest)
             if drawn is None:
                 continue
-            f, fits, rows = drawn
-            if any(coefficient_distance(f, g) < config.delta for g, _ in accepted):
+            f, fits = drawn
+            if any(coefficient_distance(f, g) < config.delta for g in accepted):
                 continue
-            accepted.append((f, remaining[rows]))
+            accepted.append(f)
             remaining = remaining[~fits]
             X_rest, y_rest = X[remaining], y[remaining]
             A_rest = np.column_stack([np.ones(len(remaining)), X_rest])
@@ -498,11 +486,11 @@ def cas2(data: Dataset, config: FitConfig) -> CalfModel:
         drawn = sampler.draw(X, y)
         if drawn is None:
             return []
-        f1, fits1, rows1 = drawn
+        f1, fits1 = drawn
         if int((~fits1).sum()) < data.d + 2:
-            return [(f1, rows1)]
+            return [f1]
         settled = sampler.settle(X, y, _ols(X[~fits1], y[~fits1]))
-        return [(f1, rows1)] if settled is None else [(f1, rows1), (settled[0], settled[2])]
+        return [f1] if settled is None else [f1, settled[0]]
 
     model, F = _sample(data, config, propose)
     # The sampled fit is F[0], refitted in place by _assemble.
@@ -527,32 +515,6 @@ def _svd_sse_floor(A, Y):
     return np.maximum(np.linalg.norm(r, axis=1) - slack, 0.0) ** 2
 
 
-@functools.lru_cache(maxsize=_LATTICE_CACHE)
-def _lattice(n):
-    """The subset lattice of n rows: (parent, last, masks) for each level k = 1..n.
-
-    Level k lists every k-subset in combinations order: masks holds one
-    n-wide row per subset, last its last row and parent the index of the
-    (k-1)-subset it extends by that row.  A subset's children add one row
-    past its last, in increasing order, so each level keeps combinations
-    order.  The tables depend on n alone, so they are built once per n and
-    made read-only.
-    """
-    levels = []
-    masks, last = np.zeros((1, n), dtype=bool), np.full(1, -1)
-    for _ in range(n):
-        counts = n - 1 - last
-        parent = np.repeat(np.arange(len(last)), counts)
-        first = (np.cumsum(counts) - counts).take(parent)
-        last = last.take(parent) + 1 + np.arange(len(parent)) - first
-        masks = masks.take(parent, axis=0)
-        masks[np.arange(len(parent)), last] = True
-        for table in (parent, last, masks):
-            table.flags.writeable = False
-        levels.append((parent, last, masks))
-    return tuple(levels)
-
-
 def _inverse_norm2(R):
     """||R^-1||_F^2 of each upper-triangular system R[:, :, c], by back-substitution.
 
@@ -569,62 +531,96 @@ def _inverse_norm2(R):
         return np.einsum("ijc,ijc->c", R_inv, R_inv)
 
 
+def _givens(x, z):
+    """Rotations that zero each z against x: returns (c, s), and x becomes r in place.
+
+    r = sqrt(x^2 + z^2) takes a fraction of np.hypot's time and lies
+    within a rounding or two of it while every x^2 + z^2 is a normal
+    float, as a square lost to underflow then lies below the sum's last
+    bit.  Otherwise r is np.hypot's, with c = 1, s = 0 where x and z are
+    both 0.
+    """
+    with np.errstate(over="ignore"):
+        r = x * x
+        r += z * z
+    if r.min() > _SQUARES_FLOOR and r.max() < np.inf:
+        np.sqrt(r, out=r)
+        c, s = x / r, z / r
+    else:
+        r = np.hypot(x, z)
+        zero = r == 0
+        r_safe = r + zero
+        c, s = (x + zero) / r_safe, z / r_safe
+    x[...] = r
+    return c, s
+
+
 def _subset_floors(A, y, sizes):
     """Every k-subset of A's rows for k in sizes, with a lower bound on its _ols SSE.
 
-    A's first column is the intercept's ones.  Returns {k: (masks,
-    floors)}: _lattice's read-only mask of each k-subset, in combinations
-    order, and the floor of the system A[mask] b ~ y[mask].  One pass over
-    the lattice, level by level: a child gathers its parent's R of [A | y]
-    (p x p+1, y's column Q^T y) and residual sum of squares, and takes row
-    j in with p Givens rotations, O(p^2) work instead of a QR over its k
-    rows.  Every k-subset has the same R[0, 0], h_k = hypot(h_{k-1}, 1),
-    so the intercept's rotation is two scalars per level.  Rounding moves
-    a least-squares residual by about eps * cond * ||y||, in these
-    backward-stable updates and in lstsq, so the residual norm is lowered
-    by a generous multiple of that before it is squared.  cond is bounded
-    from above by ||R||_F * ||R^-1||_F: ||R||_F^2 is the sum of ||a_i||^2
-    over the subset's rows, and a row added to a system only grows A^T A,
-    so a child may use its parent's ||R^-1||_F; back-substitution runs
-    only where that inherited bound passes _QR_COND_LIMIT.  A system whose
-    own bound passes the limit, or is not finite, goes to _svd_sse_floor,
-    where the RCOND cutoff decides as in _ols.  Below the limit lstsq
-    keeps every singular value, so the full projection leaves no more
-    residual than lstsq's.
+    A's first column is the intercept's ones.  Returns {k: (masks, floors)}:
+    one mask row per k-subset, in combinations order, and the floor of the
+    system A[mask] b ~ y[mask].  One pass over the subset lattice, level by
+    level: the children of a subset add one row j past its last row, in
+    increasing j, so each level keeps combinations order.  A child gathers
+    its parent's R of [A | y] (p x p+1, y's column Q^T y) and residual sum
+    of squares, and takes row j in with p Givens rotations, O(p^2) work
+    instead of a QR over its k rows.  Every k-subset has the same R[0, 0],
+    h_k = hypot(h_{k-1}, 1), so the intercept's rotation is two scalars per
+    level; _givens finds the others.  Rounding moves a least-squares
+    residual by about eps * cond * ||y||, in these backward-stable updates
+    and in lstsq, so the residual norm is lowered by a generous multiple of
+    that before it is squared.  cond is bounded from above by ||R||_F *
+    ||R^-1||_F: ||R||_F^2 is the sum of ||a_i||^2 over the subset's rows,
+    and a row added to a system only grows A^T A, so a child may use its
+    parent's ||R^-1||_F; back-substitution runs only where that inherited
+    bound passes _QR_COND_LIMIT.  A system whose own bound passes the limit,
+    or is not finite, goes to _svd_sse_floor, where the RCOND cutoff decides
+    as in _ols.  Below the limit lstsq keeps every singular value, so the
+    full projection leaves no more residual than lstsq's.
     """
     n, p = A.shape
     # Subsets run along the last axis, so each row of R is contiguous;
     # take keeps that layout when it gathers the parents, and gathers each
-    # subset's new row from the contiguous rows of a transpose: [A | y],
-    # then ||a_i||^2 and y_i^2, the terms of two sums over a subset's rows.
-    rows_T = np.vstack([A.T, y, np.einsum("ij,ij->i", A, A), y * y])
-    R = np.zeros((p, p + 1, 1))
-    # ||R||_F^2, y.y, residual sum of squares, inherited ||R^-1||_F^2.
-    acc = np.array([[0.0], [0.0], [0.0], [np.inf]])
+    # subset's new row from the contiguous rows of a transpose: [A | y]
+    # past the intercept, then ||a_i||^2 and y_i^2, the terms of two sums
+    # over a subset's rows.
+    rows_T = np.vstack([A[:, 1:].T, y, np.einsum("ij,ij->i", A, A), y * y])
+    # One array per level holds each subset's R and, below it, ||R||_F^2,
+    # y.y, its residual sum of squares and its inherited ||R^-1||_F^2.
+    state = np.zeros((p * (p + 1) + 4, 1))
+    state[-1] = np.inf
     h = 0.0
     levels = {}
-    for k, (parent, last, masks) in enumerate(_lattice(n)[: sizes[-1]], start=1):
-        R, new, acc = R.take(parent, axis=2), rows_T.take(last, axis=1), acc.take(parent, axis=1)
-        a = new[: p + 1]
-        acc[:2] += new[p + 1 :]
+    masks, last = np.zeros((1, n), dtype=bool), np.full(1, -1)
+    step = np.arange(math.comb(n, n // 2))
+    for k in range(1, sizes[-1] + 1):
+        # A subset's children take the rows after its last, in order: the
+        # children of a subset end at rows n - count .. n - 1.
+        counts = n - 1 - last
+        parent = np.repeat(step[: len(last)], counts)
+        ends = np.cumsum(counts)
+        last = (n - ends).take(parent) + step[: ends[-1]]
+        masks = masks.take(parent, axis=0)
+        masks[step[: ends[-1]], last] = True
+        state, new = state.take(parent, axis=1), rows_T.take(last, axis=1)
+        R, acc = state[: p * (p + 1)].reshape(p, p + 1, -1), state[p * (p + 1) :]
+        # a[j - 1] is the new row's entry in column j.
+        a = new[:p]
+        acc[:2] += new[p:]
         h, h_prev = np.hypot(h, 1.0), h
         c, s = h_prev / h, 1.0 / h
         for i in range(p):
-            R_i, a_i = R[i, i + 1 :], a[i + 1 :]
+            R_i, a_i = R[i, i + 1 :], a[i:]
             if i:
-                r = np.hypot(R[i, i], a[i])
-                # r == 0 only where R[i, i] and a[i] are both 0: c = 1, s = 0.
-                zero = r == 0
-                r_safe = r + zero
-                c, s = (R[i, i] + zero) / r_safe, a[i] / r_safe
-                R[i, i] = r
+                c, s = _givens(R[i, i], a[i - 1])
             sR = s * R_i
             R_i *= c
             R_i += s * a_i
             a_i *= c
             a_i -= sR
         R[0, 0] = h
-        acc[2] += a[p] * a[p]
+        acc[2] += a[-1] * a[-1]
         if k not in sizes:
             continue
         with np.errstate(invalid="ignore", over="ignore"):
@@ -677,11 +673,10 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     lattice, each subset's QR factor its parent's plus one Givens row
     update, allowing for rounding in proportion to a bound on the
     system's condition, inherited from its parent where that suffices,
-    and ||y||.  The lattice depends on n alone, so its tables are built
-    once per n and shared by later fits.  Each subset is scored once: the
-    complement of the i-th k-subset in combinations order is the
-    (C(n, k)-1-i)-th (n-k)-subset, so a candidate's bound is its subset's
-    plus the mirrored entry of the other size.  The walk takes candidates in the stable order of their
+    and ||y||.  Each subset is scored once: the complement of the i-th
+    k-subset in combinations order is the (C(n, k)-1-i)-th (n-k)-subset,
+    so a candidate's bound is its subset's plus the mirrored entry of the
+    other size.  The walk takes candidates in the stable order of their
     bounds, but _stable_front sorts only as far as it reads, a block at a
     time; only candidates whose bound reaches the walk's front get fitted
     by _ols, which settles their order.  The exponential loop refuses to

@@ -46,6 +46,8 @@ _DIVERGENCE_NORM = 1e14
 _GSLP_REFLECTIONS = 1000
 # Box bound on each weight of the exact separation LP.
 _SEPARATION_LP_BOUND = 1e12
+# Rows up to this wide are summed by numpy one column after another.
+_ORDERED_SUM_COLUMNS = 7
 
 
 def tol_geo(x) -> float:
@@ -64,13 +66,15 @@ def _tol_geo_batch(X: np.ndarray) -> np.ndarray:
 
 
 def _sq_dist(X, x):
-    """Squared distance of each row of X to x, np.sum((X - x) ** 2, axis=1).
+    """Squared distance of each row of X to x: np.sum((X - x) ** 2, axis=1), bit for bit.
 
-    The columns are added one at a time, in order, which skips numpy's
-    per-row reduction.  Its axis-1 sum adds up to 7 columns in this same
-    order, so the bits agree there; from 8 columns it sums pairwise and
-    the last bits can differ.
+    Numpy's row sum adds up to _ORDERED_SUM_COLUMNS columns one after
+    another, in order, and so does the column loop here, which skips the
+    per-row reduction.  Past that numpy sums in interleaved partial sums,
+    so wider rows take the expression itself.
     """
+    if X.shape[1] > _ORDERED_SUM_COLUMNS:
+        return np.sum((X - x) ** 2, axis=1)
     total = X[:, 0] - x[0]
     total *= total
     for j in range(1, X.shape[1]):

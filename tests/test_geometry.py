@@ -36,8 +36,9 @@ def svm_objective(h, pos, neg, c):
 @given(st.data())
 def test_column_kernels_match_the_row_reductions_they_replace(draw):
     # Numpy's axis-1 reduction adds up to 7 columns in column order, so the
-    # column loops keep every bit of the distances, norms and tolerances.
-    d = draw.draw(st.integers(1, 7), label="d")
+    # column loops keep every bit of the distances, norms and tolerances;
+    # wider rows take numpy's own sum, and a maximum has no order.
+    d = draw.draw(st.integers(1, 12), label="d")
     n = draw.draw(
         st.one_of(st.sampled_from([1, 2, 7, 8, 9, 16, 17, 4096]), st.integers(1, 3000)), label="n"
     )

@@ -45,7 +45,7 @@ from .exceptions import (
     InputError,
     SeparabilityError,
 )
-from .geometry import _sq_dist, cac, cacs
+from .geometry import _check_squares, _sq_dist, cac, cacs
 from .linreg import RCOND, LinearModel, _f_pvalue, _ols, coefficient_distance, lr
 
 _EPS_MULTIPLIER = 4.0
@@ -144,19 +144,19 @@ def _within(X, y, F, eps):
     return np.array([np.abs(y - f.predict_batch(X)) < eps for f in F])
 
 
-def _refit_within(X, y, F, eps):
+def _refit_within(X, y, F, eps, fits):
     """Refit each model of F on the rows only it fits until those rows settle.
 
-    F is refitted in place; returns the within-eps masks of its last
-    models.  A model with fewer than d+2 rows of its own keeps its fit.
-    Unless _REFIT_CAP refits run out (a cycling set), each other model is
-    the fit of exactly its own rows.  A model whose own rows are those it
-    was last refitted on in this call keeps its fit, which a refit would
-    repeat bit for bit.
+    fits holds F's within-eps masks, _within(X, y, F, eps).  F is refitted
+    in place; returns the within-eps masks of its last models.  A model
+    with fewer than d+2 rows of its own keeps its fit.  Unless _REFIT_CAP
+    refits run out (a cycling set), each other model is the fit of
+    exactly its own rows.  A model whose own rows are those it was last
+    refitted on in this call keeps its fit, which a refit would repeat bit
+    for bit.
     """
     d = X.shape[1]
     fitted = [None] * len(F)
-    fits = _within(X, y, F, eps)
     for _ in range(_REFIT_CAP):
         own = fits & (fits.sum(axis=0) == 1)
         refitted = False
@@ -217,6 +217,7 @@ class _Sampler:
         n, d, m = data.n, data.d, config.m
         if n <= (m + 1) * (d + 1):
             raise InputError(f"need n > (m+1)(d+1) = {(m + 1) * (d + 1)} points (got {n})")
+        _check_squares(data.X)
         self.m = m
         self.rng = np.random.default_rng(config.seed)
         self.budget = config.max_samples or default_budget(m, d)
@@ -262,7 +263,7 @@ class _Sampler:
         """
         n, d = X.shape
         F = [f]
-        fits = _refit_within(X, y, F, self.eps)[0]
+        fits = _refit_within(X, y, F, self.eps, _within(X, y, F, self.eps))[0]
         if int(fits.sum()) < max(d + 2, n // (_SUPPORT_SHARE * (self.m + 1))):
             return None
         return F[0], fits
@@ -320,7 +321,8 @@ def _assemble(data, F, eps, separate):
     """
     X, y = data.X, data.y
     n = data.n
-    unique = _within(X, y, F, eps).sum(axis=0) == 1
+    fits = _within(X, y, F, eps)
+    unique = fits.sum(axis=0) == 1
     if int(unique.sum()) < n // 2:
         # On separable data nearly every point fits exactly one model; an
         # eps blown up by a bad acceptance floods the overlap instead.
@@ -331,7 +333,7 @@ def _assemble(data, F, eps, separate):
     # a refit that also swallowed a strip of the other's points; a model
     # grown from a band of its piece plus a few far points of another
     # region sheds them in the refit and regrows over its whole piece.
-    fits = _refit_within(X, y, F, eps)
+    fits = _refit_within(X, y, F, eps, fits)
     counts = fits.sum(axis=0)
     unique = counts == 1
     # The best-supported model is the default unless another model's own
@@ -680,8 +682,9 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     bounds, but _stable_front sorts only as far as it reads, a block at a
     time; only candidates whose bound reaches the walk's front get fitted
     by _ols, which settles their order.  The exponential loop refuses to
-    run past the cap unless raised, and a y whose sums of squares would
-    overflow is an InputError, decided before any of them is formed.
+    run past the cap unless raised.  A y whose sums of squares would
+    overflow is an InputError, and so is an X whose squared distances
+    would, each decided before any of them is formed.
     """
     n, d = data.n, data.d
     if n > cap:
@@ -698,6 +701,7 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
             f"the sums of squares of y overflow: |y| reaches {top:.3g}, "
             f"past {limit:.3g} for n={n}"
         )
+    _check_squares(X)
     global_fit = lr(data)
     global_sse = global_fit.mse * n
     # Ties are judged at rounding-noise resolution so an exactly-linear

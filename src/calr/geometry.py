@@ -30,6 +30,7 @@ separates raises ConvergenceError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,23 @@ def _sq_dist(X, x):
         diff *= diff
         total += diff
     return total
+
+
+def _check_squares(*point_sets):
+    """InputError when squared distances or inner products of these points could overflow.
+
+    Coordinates no larger than L = sqrt(float max / 4d) keep every squared
+    distance under 4 d L^2 = float max and every inner product under d L^2.
+    Callers check before they form either.
+    """
+    d = point_sets[0].shape[-1]
+    peak = max(float(np.max(np.abs(P), initial=0.0)) for P in point_sets)
+    limit = math.sqrt(np.finfo(float).max / (4 * d))
+    if peak > limit:
+        raise InputError(
+            f"the squared distances of the points overflow: |x| reaches {peak:.3g}, "
+            f"past {limit:.3g} for d={d}"
+        )
 
 
 @dataclass(eq=False)
@@ -172,13 +190,17 @@ class ConvexArea:
 
 
 def _point_and_set(x0, points):
-    """x0 and points as float arrays: one dimension, a nonempty set, finite."""
+    """x0 and points as float arrays: one dimension, a nonempty set, finite.
+
+    Coordinates past _check_squares's limit are an InputError.
+    """
     x0 = np.asarray(x0, dtype=float)
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or x0.shape != (P.shape[1],):
         raise DimensionMismatchError("x0 and points disagree on dimension")
     if len(P) == 0 or not (np.all(np.isfinite(P)) and np.all(np.isfinite(x0))):
         raise InputError("need a nonempty point set and finite coordinates")
+    _check_squares(P, x0)
     return x0, P
 
 
@@ -357,8 +379,7 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
     after the iteration budget if still far from optimal.  The returned
     half-space is oriented with the pos set on the positive side.  If any
     input point lands exactly on the plane, gamma is nudged by a tiny
-    offset so no input evaluates to exactly zero.  Memory is O(n^2): the
-    dense Gram matrix of n = len(pos) + len(neg) points takes 8 n^2 bytes.
+    offset so no input evaluates to exactly zero.
     """
     P = np.asarray(pos, dtype=float)
     N = np.asarray(neg, dtype=float)
@@ -369,9 +390,9 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
     if c <= 0:
         raise InputError("svm_soft needs c > 0")
     X = np.vstack([P, N])
+    _check_squares(X)
     y = np.concatenate([np.ones(len(P)), -np.ones(len(N))])
     n = len(X)
-    K = X @ X.T
     a = np.zeros(n)
     grad = np.ones(n)  # d(dual)/d(a_i) at a = 0
     kkt_tol = 1e-8
@@ -381,7 +402,8 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
             break
         room_i = (c - a[i]) if y[i] > 0 else a[i]
         room_j = a[j] if y[j] > 0 else (c - a[j])
-        curv = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        diff = X[i] - X[j]
+        curv = diff @ diff
         if curv > 1e-12:
             step = min(gap / curv, room_i, room_j)
         else:
@@ -390,7 +412,7 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
             break
         a[i] += y[i] * step
         a[j] -= y[j] * step
-        grad -= step * y * (K[:, i] - K[:, j])
+        grad -= step * y * (X @ diff)
         # Snap multipliers that rounding left a hair inside their bound so a
         # pinned point drops out of the working set instead of being
         # re-selected forever for vanishing steps.
@@ -403,7 +425,7 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
                 a[t] = c
                 snapped = True
         if snapped:
-            grad = 1.0 - y * (K @ (y * a))
+            grad = 1.0 - y * (X @ ((y * a) @ X))
     _, _, final_gap = _smo_select(y, a, grad, c)
     if final_gap > 1e-3 * max(1.0, c):
         # The gap has the scale of c times the data, so "far from optimal"
@@ -521,6 +543,7 @@ def _construct_area(points, inside, search):
         raise DimensionMismatchError("points must be an (n, d) array with d >= 1")
     if not np.all(np.isfinite(points)):
         raise InputError("points must be finite")
+    _check_squares(points)
     inside = np.asarray(inside)
     if inside.dtype != bool or inside.shape != (len(points),):
         raise DimensionMismatchError("inside must be a boolean mask with one entry per point")

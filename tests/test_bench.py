@@ -1,9 +1,11 @@
-"""The benchmark's contract, smoke-tested on short fit-lp and fit-exact runs."""
+"""The benchmark's contract, smoke-tested on short runs of every workload."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,5 +49,14 @@ def test_fit_exact_run_checks_every_exact_fit():
     # total squared error exceeds the global fit's, or whose piece area
     # does not hold exactly the rows its two functions were fitted on.
     last = json.loads(_bench_lines("fit-exact", 0)[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["pipeline", "fit-svm"])
+def test_pipeline_and_fit_svm_runs_are_correct(workload):
+    # With these, every workload bench/run.py accepts runs here; fit-svm is
+    # the only one whose areas come from svm_soft.
+    last = json.loads(_bench_lines(workload, 0)[-1])
     assert last["correct"] is True
     assert last["failed"] == 0

@@ -116,6 +116,10 @@ def test_bad_inputs_exit_1(tmp_path):
     r = run_cli("fit", "--data", huge, "--algo", "naive")
     assert r.returncode == 1 and "sums of squares of y overflow" in r.stderr
     assert "Traceback" not in r.stderr
+    write_csv(Dataset(X=1e160 * np.arange(9.0).reshape(-1, 1), y=np.arange(9.0) > 4), huge)
+    r = run_cli("fit", "--data", huge, "--algo", "naive")
+    assert r.returncode == 1 and "squared distances of the points overflow" in r.stderr
+    assert "Traceback" not in r.stderr
     for flag, value in (("--delta", 0), ("--delta", "nan"), ("--epsilon", "nan"),
                         ("--epsilon", "inf")):
         r = run_cli("fit", "--data", data_path, flag, value)

@@ -437,9 +437,8 @@ def test_refits_that_would_repeat_a_fit_are_skipped():
     # every round gives the same model and fit_info with more _ols calls.
     data, _ = generate_separable(500, 2, 3, 0.01, 1.0, seed=0)
 
-    def every_round(X, y, F, eps):
+    def every_round(X, y, F, eps, fits):
         d = X.shape[1]
-        fits = fitting._within(X, y, F, eps)
         for _ in range(fitting._REFIT_CAP):
             own = fits & (fits.sum(axis=0) == 1)
             for i, rows in enumerate(own):
@@ -528,6 +527,44 @@ def test_naive_solver_rejects_y_whose_sums_of_squares_overflow(scale):
     (_, area), = model.pieces
     (_, unscaled), = naive_calr(Dataset(X=X, y=y)).pieces
     assert np.array_equal(area.contains_batch(X), unscaled.contains_batch(X))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+@pytest.mark.parametrize(
+    "entry", ["naive_calr", "cas_calr", "cas2", "cac", "cacs", "gslp", "svm_soft"]
+)
+def test_coordinates_whose_squares_overflow_are_an_input_error(entry, scale, monkeypatch):
+    # Past |x| ~ 1e153 squared distances and inner products of points
+    # overflow, and numpy's warning is an error under this suite's
+    # settings; below it a fit returns or raises a diagnostic.  svm_soft's
+    # penalty is not scale-free, so at 1e150 it runs out its budget, cut
+    # here to keep the test short.
+    monkeypatch.setattr(geometry, "SVM_MAX_ITER", 1000)
+    X, y = _step_input(n=9)
+    data, _ = generate_separable(200, 2, 1, 0.01, 1.0, seed=0)
+    P = data.X * scale
+    inside = data.X[:, 0] < np.median(data.X[:, 0])
+    config = FitConfig(m=1, seed=1, max_samples=20)
+    call = {
+        "naive_calr": lambda: naive_calr(Dataset(X=X * scale, y=y)),
+        "cas_calr": lambda: cas_calr(Dataset(X=P, y=data.y), config),
+        "cas2": lambda: cas2(Dataset(X=P, y=data.y), config),
+        "cac": lambda: cac(P, inside),
+        "cacs": lambda: geometry.cacs(P, inside),
+        "gslp": lambda: geometry.gslp(P.max(axis=0) + scale, P),
+        "svm_soft": lambda: geometry.svm_soft(P[inside], P[~inside], max_iter=1000),
+    }[entry]
+    if scale < 1e153:
+        try:
+            call()
+        except FitDiagnostic:
+            pass
+        return
+    with pytest.raises(InputError, match="squared distances of the points overflow"):
+        call()
+    # Data and predictions take such coordinates as before.
+    model = naive_calr(Dataset(X=X, y=y))
+    assert np.all(np.isfinite(model.predict_batch(Dataset(X=X * scale, y=y).X)))
 
 
 def test_naive_solver_tie_window_ignores_an_offset_in_y():
@@ -749,7 +786,7 @@ def test_refit_within_returns_a_fixed_point(d, m, seed, sigma, eps_scale, start_
         sample = np.append(anchor, rng.choice(near[near != anchor], size=d, replace=False))
         F.append(_ols(X[sample], y[sample]))
     with mock.patch.object(fitting, "_within", wraps=fitting._within) as masks:
-        fits = fitting._refit_within(X, y, F, eps)
+        fits = fitting._refit_within(X, y, F, eps, fitting._within(X, y, F, eps))
     assert len(F) == models
     assert fits.tolist() == _within(X, y, F, eps).tolist()
     # One mask for the start, then one per refit round.

@@ -1,5 +1,7 @@
 """Half-spaces, hull membership, separating planes, and area construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -414,6 +416,82 @@ def test_svm_never_puts_an_input_exactly_on_the_plane():
     h = svm_soft(pos, neg, c=1e3)
     vals = np.concatenate([pos @ h.alpha + h.gamma, neg @ h.alpha + h.gamma])
     assert np.all(vals != 0.0)
+
+
+def test_svm_allocates_no_matrix_over_its_points():
+    # _svm_search's call at the default penalty: 6,000 rows against one
+    # point.  A Gram matrix over the rows would take 288 MB.
+    rng = np.random.default_rng(0)
+    D = rng.uniform(0.0, 2.0, size=(6000, 2))
+    tracemalloc.start()
+    try:
+        svm_soft(D, np.array([[2.5, 2.5]]), c=SVM_C_DEFAULT, max_iter=5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def _gram_svm(pos, neg, c):
+    """The soft-margin plane (w, b) by SMO over the dense Gram matrix, as svm_soft once ran."""
+    X = np.vstack([pos, neg])
+    y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
+    K = X @ X.T
+    a, grad = np.zeros(len(X)), np.ones(len(X))
+    for _ in range(geometry.SVM_MAX_ITER):
+        i, j, gap = geometry._smo_select(y, a, grad, c)
+        if i < 0 or gap <= 1e-8:
+            break
+        room_i = (c - a[i]) if y[i] > 0 else a[i]
+        room_j = a[j] if y[j] > 0 else (c - a[j])
+        curv = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        step = min(gap / curv, room_i, room_j) if curv > 1e-12 else min(room_i, room_j)
+        if step <= 0.0:
+            break
+        a[i] += y[i] * step
+        a[j] -= y[j] * step
+        grad -= step * y * (K[:, i] - K[:, j])
+        snapped = False
+        for t in (i, j):
+            if 0.0 < a[t] < 1e-12 * c:
+                a[t], snapped = 0.0, True
+            elif c * (1.0 - 1e-12) < a[t] < c:
+                a[t], snapped = c, True
+        if snapped:
+            grad = 1.0 - y * (K @ (y * a))
+    w = (y * a) @ X
+    f_vals = y - X @ w
+    free = (a > 1e-9 * c) & (a < c * (1.0 - 1e-9))
+    if np.any(free):
+        return w, float(np.mean(f_vals[free]))
+    can_up, can_dn = geometry._smo_movable(y, a, c)
+    bounds = [np.max(f_vals[can_up])] if np.any(can_up) else []
+    bounds += [np.min(f_vals[can_dn])] if np.any(can_dn) else []
+    return w, float(np.mean(bounds))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_svm_matches_the_gram_matrix_solver_on_separable_sets(draw):
+    # Both solvers stop on the same KKT gap, so their planes differ only by
+    # where the iterates' rounding took them.
+    d = draw.draw(st.integers(1, 4), label="d")
+    n = draw.draw(st.integers(2, 60), label="n")
+    seed = draw.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n, d))
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    side = X @ v - np.median(X @ v)
+    X = X + np.where(side >= 0.0, 0.25, -0.25)[:, None] * v  # a gap of 0.5 along v
+    pos, neg = X[side >= 0.0], X[side < 0.0]
+    assume(len(pos) and len(neg))
+    h = svm_soft(pos, neg, c=SVM_C_DEFAULT)
+    assert np.all(pos @ h.alpha + h.gamma > 0.0)
+    assert np.all(neg @ h.alpha + h.gamma < 0.0)
+    w, b = _gram_svm(pos, neg, SVM_C_DEFAULT)
+    want = svm_objective(HalfSpace(alpha=w, gamma=b), pos, neg, SVM_C_DEFAULT)
+    assert abs(svm_objective(h, pos, neg, SVM_C_DEFAULT) - want) <= 1e-2 * want
 
 
 def test_svm_input_errors():

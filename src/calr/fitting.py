@@ -5,8 +5,8 @@ Three solution paths live here:
 * naive_calr: exact single-piece solver by subset enumeration (small n):
   SSE lower bounds from one pass over the subset lattice, each subset's
   QR factor grown from its parent's by one Givens row update and each
-  subset scored once; a walk in bound order that sorts only its front,
-  _ols only in the tie window;
+  subset scored once; a walk over partitions in bound order that sorts
+  only its front, both sides fitted once, _ols only in the tie window;
 * cas_calr: the sampling solver — draw d+1 points near a random anchor,
   gate on y not flat on them (the F-test on d+1 points), an empty sample
   simplex and coefficient distance, shrink the residual set, then build
@@ -49,6 +49,8 @@ from .geometry import _check_squares, _sq_dist, cac, cacs
 from .linreg import RCOND, LinearModel, _f_pvalue, _ols, coefficient_distance, lr
 
 _EPS_MULTIPLIER = 4.0
+# Anchor rows whose nearest-neighbour fits _local_scale takes the median of.
+_SCALE_ANCHORS = 25
 _EPS_FLOOR_SCALE = 1e-9
 _REFIT_CAP = 20
 _SUPPORT_SHARE = 4
@@ -58,6 +60,8 @@ _QR_COND_LIMIT = 1e8
 # A sum of squares above it lost at most 2^-62 of itself to underflow.
 _SQUARES_FLOOR = 2.0**-960
 NAIVE_CAP_DEFAULT = 16
+# naive_calr codes a subset as an int64 with one bit per row.
+_NAIVE_ROWS_LIMIT = 62
 
 
 @dataclass
@@ -109,7 +113,7 @@ def _nearest(X, x, k):
     return np.argpartition(dist2, k - 1)[:k] if k < len(X) else np.arange(len(X))
 
 
-def _local_scale(X, y, rng, anchors: int = 25) -> float:
+def _local_scale(X, y, rng) -> float:
     """Noise-scale estimate from small nearest-neighbor fits.
 
     Fits a hyperplane to the 2(d+2) nearest neighbors of a few random
@@ -121,7 +125,7 @@ def _local_scale(X, y, rng, anchors: int = 25) -> float:
     k = min(n, 2 * (d + 2))
     if k < d + 2:
         return 0.0
-    idx = rng.choice(n, size=min(n, anchors), replace=False)
+    idx = rng.choice(n, size=min(n, _SCALE_ANCHORS), replace=False)
     ones = np.ones((k, 1))
     scales = []
     for i in idx:
@@ -524,13 +528,10 @@ def _inverse_norm2(R):
     """
     p = R.shape[0]
     R_inv = np.zeros_like(R)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(p - 1, -1, -1):
-            R_inv[i, i] = 1.0 / R[i, i]
-            R_inv[i, i + 1 :] = -R_inv[i, i] * np.einsum(
-                "lc,ljc->jc", R[i, i + 1 :], R_inv[i + 1 :, i + 1 :]
-            )
-        return np.einsum("ijc,ijc->c", R_inv, R_inv)
+    for i in range(p - 1, -1, -1):
+        R_inv[i, i] = inv = 1.0 / R[i, i]
+        R_inv[i, i + 1 :] = -inv * np.einsum("lc,ljc->jc", R[i, i + 1 :], R_inv[i + 1 :, i + 1 :])
+    return np.einsum("ijc,ijc->c", R_inv, R_inv)
 
 
 def _givens(x, z):
@@ -542,9 +543,8 @@ def _givens(x, z):
     bit.  Otherwise r is np.hypot's, with c = 1, s = 0 where x and z are
     both 0.
     """
-    with np.errstate(over="ignore"):
-        r = x * x
-        r += z * z
+    r = x * x
+    r += z * z
     if r.min() > _SQUARES_FLOOR and r.max() < np.inf:
         np.sqrt(r, out=r)
         c, s = x / r, z / r
@@ -557,29 +557,31 @@ def _givens(x, z):
     return c, s
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _subset_floors(A, y, sizes):
     """Every k-subset of A's rows for k in sizes, with a lower bound on its _ols SSE.
 
-    A's first column is the intercept's ones.  Returns {k: (masks, floors)}:
-    one mask row per k-subset, in combinations order, and the floor of the
-    system A[mask] b ~ y[mask].  One pass over the subset lattice, level by
-    level: the children of a subset add one row j past its last row, in
-    increasing j, so each level keeps combinations order.  A child gathers
-    its parent's R of [A | y] (p x p+1, y's column Q^T y) and residual sum
-    of squares, and takes row j in with p Givens rotations, O(p^2) work
-    instead of a QR over its k rows.  Every k-subset has the same R[0, 0],
-    h_k = hypot(h_{k-1}, 1), so the intercept's rotation is two scalars per
-    level; _givens finds the others.  Rounding moves a least-squares
-    residual by about eps * cond * ||y||, in these backward-stable updates
-    and in lstsq, so the residual norm is lowered by a generous multiple of
-    that before it is squared.  cond is bounded from above by ||R||_F *
-    ||R^-1||_F: ||R||_F^2 is the sum of ||a_i||^2 over the subset's rows,
-    and a row added to a system only grows A^T A, so a child may use its
-    parent's ||R^-1||_F; back-substitution runs only where that inherited
-    bound passes _QR_COND_LIMIT.  A system whose own bound passes the limit,
-    or is not finite, goes to _svd_sse_floor, where the RCOND cutoff decides
-    as in _ols.  Below the limit lstsq keeps every singular value, so the
-    full projection leaves no more residual than lstsq's.
+    A's first column is the intercept's ones.  Returns {k: (codes, floors)}:
+    one int64 code per k-subset, bit i set for row i, in combinations order,
+    and the floor of the system A[mask] b ~ y[mask].  One pass over the
+    subset lattice, level by level: the children of a subset add one row j
+    past its last row, in increasing j, so each level keeps combinations
+    order.  A child gathers its parent's code, R of [A | y] (p x p+1, y's
+    column Q^T y) and residual sum of squares, and takes row j in with its
+    bit and p Givens rotations, O(p^2) work instead of a QR over its k rows.
+    Every k-subset has the same R[0, 0], h_k = hypot(h_{k-1}, 1), so the
+    intercept's rotation is two scalars per level; _givens finds the others.
+    Rounding moves a least-squares residual by about eps * cond * ||y||, in
+    these backward-stable updates and in lstsq, so the residual norm is
+    lowered by a generous multiple of that before it is squared.  cond is
+    bounded from above by ||R||_F * ||R^-1||_F: ||R||_F^2 is the sum of
+    ||a_i||^2 over the subset's rows, and a row added to a system only grows
+    A^T A, so a child may use its parent's ||R^-1||_F; back-substitution
+    runs only where that inherited bound passes _QR_COND_LIMIT.  A system
+    whose own bound passes the limit, or is not finite, goes to
+    _svd_sse_floor, where the RCOND cutoff decides as in _ols.  Below the
+    limit lstsq keeps every singular value, so the full projection leaves no
+    more residual than lstsq's.
     """
     n, p = A.shape
     # Subsets run along the last axis, so each row of R is contiguous;
@@ -594,7 +596,7 @@ def _subset_floors(A, y, sizes):
     state[-1] = np.inf
     h = 0.0
     levels = {}
-    masks, last = np.zeros((1, n), dtype=bool), np.full(1, -1)
+    codes, last = np.zeros(1, dtype=np.int64), np.full(1, -1)
     step = np.arange(math.comb(n, n // 2))
     for k in range(1, sizes[-1] + 1):
         # A subset's children take the rows after its last, in order: the
@@ -603,8 +605,7 @@ def _subset_floors(A, y, sizes):
         parent = np.repeat(step[: len(last)], counts)
         ends = np.cumsum(counts)
         last = (n - ends).take(parent) + step[: ends[-1]]
-        masks = masks.take(parent, axis=0)
-        masks[step[: ends[-1]], last] = True
+        codes = codes.take(parent) | (1 << last)
         state, new = state.take(parent, axis=1), rows_T.take(last, axis=1)
         R, acc = state[: p * (p + 1)].reshape(p, p + 1, -1), state[p * (p + 1) :]
         # a[j - 1] is the new row's entry in column j.
@@ -625,19 +626,18 @@ def _subset_floors(A, y, sizes):
         acc[2] += a[-1] * a[-1]
         if k not in sizes:
             continue
-        with np.errstate(invalid="ignore", over="ignore"):
+        cond = np.sqrt(acc[0] * acc[3])
+        ill = ~(cond <= _QR_COND_LIMIT)
+        if ill.any():
+            acc[3, ill] = _inverse_norm2(R[:, :p].compress(ill, axis=2))
             cond = np.sqrt(acc[0] * acc[3])
             ill = ~(cond <= _QR_COND_LIMIT)
-            if ill.any():
-                acc[3, ill] = _inverse_norm2(R[:, :p].compress(ill, axis=2))
-                cond = np.sqrt(acc[0] * acc[3])
-                ill = ~(cond <= _QR_COND_LIMIT)
-            slack = _ROUNDING_SLACK * cond * np.sqrt(acc[1])
-            floors = np.maximum(np.sqrt(acc[2]) - slack, 0.0) ** 2
+        slack = _ROUNDING_SLACK * cond * np.sqrt(acc[1])
+        floors = np.maximum(np.sqrt(acc[2]) - slack, 0.0) ** 2
         if ill.any():
-            rows = np.nonzero(masks[ill])[1].reshape(-1, k)
+            rows = np.nonzero(codes[ill, None] >> np.arange(n) & 1)[1].reshape(-1, k)
             floors[ill] = _svd_sse_floor(A[rows], y[rows])
-        levels[k] = masks, floors
+        levels[k] = codes, floors
     return levels
 
 
@@ -675,15 +675,17 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     lattice, each subset's QR factor its parent's plus one Givens row
     update, allowing for rounding in proportion to a bound on the
     system's condition, inherited from its parent where that suffices,
-    and ||y||.  Each subset is scored once: the complement of the i-th
-    k-subset in combinations order is the (C(n, k)-1-i)-th (n-k)-subset,
-    so a candidate's bound is its subset's plus the mirrored entry of the
-    other size.  The walk takes candidates in the stable order of their
-    bounds, but _stable_front sorts only as far as it reads, a block at a
-    time; only candidates whose bound reaches the walk's front get fitted
-    by _ols, which settles their order.  The exponential loop refuses to
-    run past the cap unless raised.  A y whose sums of squares would
-    overflow is an InputError, and so is an X whose squared distances
+    and ||y||.  Each partition is scored and fitted once: the complement of
+    the i-th k-subset in combinations order is the (C(n, k)-1-i)-th
+    (n-k)-subset, so the walk holds one entry per partition, its side of at
+    most n/2 rows, bounded by its floor plus the mirrored one of the other
+    size.  It takes entries in the stable order of their bounds, but
+    _stable_front sorts only as far as it reads; only an entry whose bound
+    reaches the walk's front has its code decoded to a mask and both sides
+    fitted by _ols, and both orientations go on the heap that settles their
+    order.  The loop refuses to run past the cap unless raised, or past 62
+    rows, one bit each of a subset's int64 code.  A y whose sums of squares
+    would overflow is an InputError, and so is an X whose squared distances
     would, each decided before any of them is formed.
     """
     n, d = data.n, data.d
@@ -691,6 +693,11 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
         raise InputError(
             f"subset enumeration over n={n} points is exponential; "
             f"raise the cap ({cap}) explicitly to force it"
+        )
+    if n > _NAIVE_ROWS_LIMIT:
+        raise InputError(
+            f"subset enumeration takes at most {_NAIVE_ROWS_LIMIT} points, "
+            f"one bit of a subset's code each (got n={n})"
         )
     X, y = data.X, data.y
     # Every sum of squares below, global or per subset, stays under
@@ -714,14 +721,15 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     if not sizes:
         return _global_model(data)
     levels = _subset_floors(np.column_stack([np.ones(n), X]), y, sizes)
-    # The complement of the i-th k-combination is the (C(n, k)-1-i)-th
-    # (n-k)-combination, so each side's floor is read off one array.
+    # Candidate i is the (i - starts[j])-th subset of size sizes[j]; sizes
+    # are symmetric, so its complement is candidate last - i, and the walk
+    # reads the first half, one entry per partition.
     floors = np.concatenate([levels[k][1] + levels[n - k][1][::-1] for k in sizes])
-    # Candidate i is the (i - starts[j])-th subset of size sizes[j].
     starts = np.cumsum([0] + [len(levels[k][1]) for k in sizes])
+    floors, last = floors[: len(floors) // 2], len(floors) - 1
     order = chain.from_iterable(_stable_front(floors))
     nxt = next(order, None)
-    fitted = []  # heap of (_ols SSE, enumeration index, mask, f_in, f_out)
+    fitted = []  # heap of (_ols SSE, candidate index, mask, f_in, f_out)
     while True:
         # Lower bound on the _ols SSE of every candidate not fitted yet.
         floor = math.inf if nxt is None else float(floors[nxt])
@@ -739,8 +747,10 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
         i, nxt = int(nxt), next(order, None)
         j = int(np.searchsorted(starts, i, side="right")) - 1
         k = sizes[j]
-        mask = levels[k][0][i - starts[j]]
-        f_in = _ols(X[mask], y[mask])
-        f_out = _ols(X[~mask], y[~mask])
-        heapq.heappush(fitted, (f_in.mse * k + f_out.mse * (n - k), i, mask, f_in, f_out))
+        mask = (levels[k][0][i - starts[j]] >> np.arange(n) & 1).astype(bool)
+        f_in, f_out = _ols(X[mask], y[mask]), _ols(X[~mask], y[~mask])
+        # IEEE addition commutes, so the mirrored candidate's SSE is this one.
+        sse = f_in.mse * k + f_out.mse * (n - k)
+        heapq.heappush(fitted, (sse, i, mask, f_in, f_out))
+        heapq.heappush(fitted, (sse, last - i, ~mask, f_out, f_in))
     return _global_model(data)

@@ -106,12 +106,23 @@ def lr(data: "Dataset") -> LinearModel:
 
 
 def mse(model, data: "Dataset") -> float:
-    """Mean squared error of any model exposing predict_batch."""
+    """Mean squared error of any model exposing predict_batch.
+
+    A residual sum of squares that overflows is an InputError, and no
+    overflow warning leaks.
+    """
     if data.n < 1:
         raise InputError("need at least one row to score")
     pred = model.predict_batch(data.X)
-    resid = data.y - pred
-    return float(resid @ resid) / data.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = data.y - pred
+        sse = float(resid @ resid)
+    if not math.isfinite(sse):
+        raise InputError(
+            f"the residual sum of squares overflows: |y - prediction| reaches "
+            f"{float(np.max(np.abs(resid))):.3g} over {data.n} rows"
+        )
+    return sse / data.n
 
 
 def _f_pvalue(ssr: float, sse: float, n: int, d: int, y_scale: float = 0.0) -> float:

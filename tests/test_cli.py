@@ -185,6 +185,27 @@ def test_eval_reports_an_oversized_csv_cell_as_an_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_eval_reports_an_overflowing_residual_sum_as_an_error(tmp_path):
+    data_path, model_path = tmp_path / "data.csv", tmp_path / "model.json"
+    write_csv(Dataset(X=np.array([[1e200], [-1e200], [0.0]]), y=np.zeros(3)), data_path)
+    save_model(CalfModel(default=LinearModel(coeffs=np.array([0.0, 0.5]))), model_path)
+    r = run_cli("eval", "--model", model_path, "--data", data_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: the residual sum of squares overflows")
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+
+
+def test_naive_fit_past_62_rows_exits_1(tmp_path):
+    data_path = tmp_path / "data.csv"
+    rng = np.random.default_rng(0)
+    write_csv(Dataset(X=rng.uniform(size=(70, 1)), y=rng.uniform(size=70)), data_path)
+    r = run_cli("fit", "--data", data_path, "--algo", "naive", "--cap", 100,
+                "--out", tmp_path / "model.json")
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: subset enumeration takes at most 62 points")
+    assert "got n=70" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_csv_commands_report_an_undecodable_byte_as_an_error(tmp_path):
     data_path = tmp_path / "plateau.csv"
     plateau_csv(data_path)

@@ -293,17 +293,22 @@ def test_subset_pass_enumerates_in_combinations_order():
         A = np.column_stack([np.ones(n), X])
         levels = fitting._subset_floors(A, rng.uniform(size=n), range(1, n + 1))
         assert sorted(levels) == list(range(1, n + 1))
-        for k, (masks, floors) in levels.items():
-            rows = np.nonzero(masks)[1].reshape(-1, k)
+        for k, (codes, floors) in levels.items():
+            rows = _code_rows(codes, n)
             assert rows.tolist() == [list(c) for c in combinations(range(n), k)]
             assert floors.shape == (comb(n, k),)
+
+
+def _code_rows(codes, n):
+    """The rows of each of one level's subset codes, bit i set for row i."""
+    return np.array([[i for i in range(n) if code >> i & 1] for code in codes.tolist()])
 
 
 def _every_subset(A, y, low):
     """(rows, floor) for every subset of A's rows with at least low rows."""
     levels = fitting._subset_floors(A, y, range(low, len(A) + 1))
-    for k, (masks, floors) in levels.items():
-        yield np.nonzero(masks)[1].reshape(-1, k), floors
+    for codes, floors in levels.values():
+        yield _code_rows(codes, len(A)), floors
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -484,7 +489,7 @@ def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
 
     def floors_spy(A, y, sizes):
         levels = real_floors(A, y, sizes)
-        passes.append({k: (masks.shape, floors.shape) for k, (masks, floors) in levels.items()})
+        passes.append({k: (codes.shape, floors.shape) for k, (codes, floors) in levels.items()})
         return levels
 
     def svd_spy(A, *args, **kwargs):
@@ -503,14 +508,53 @@ def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
     model = naive_calr(Dataset(X=X, y=y))
     assert model.m == 1
     # A per-subset loop fits both sides of every subset: 8,140 calls here.
-    assert 0 < len(ols_rows) < 100
-    # Each subset is scored once, in one pass with C(n, k) floors per
-    # scored size; its complement's floor is read from the complementary size.
-    assert passes == [{k: ((comb(n, k), n), (comb(n, k),)) for k in range(2, n - 1)}]
+    # The walk fits the two sides of a partition once for both orientations.
+    assert 0 < len(ols_rows) < 50
+    # Each subset is scored once, in one pass with C(n, k) codes and floors
+    # per scored size; its complement's floor is read from the complementary size.
+    assert passes == [{k: ((comb(n, k),), (comb(n, k),)) for k in range(2, n - 1)}]
     # The walk sorts only its front: one block of the 4,070 candidates.
     assert 0 < sum(ordered) < 100
     # Every system here is well conditioned, so no floor needs an SVD.
     assert svd_calls == []
+
+
+@pytest.mark.parametrize("kind", ["step", "planted", "mirrored grid"])
+def test_naive_solver_fits_no_row_set_twice(kind):
+    # A subset and its complement are one partition with one pair of fits,
+    # so each row set reaches _ols at most once.  Every row is distinct
+    # here, so equal bytes mean equal row sets.
+    if kind == "step":
+        X, y = _step_input()
+    elif kind == "planted":
+        data, _ = generate_separable(13, 2, 1, 0.01, 1.0, seed=1)
+        X, y = data.X, data.y
+    else:
+        # Rows 5..9 mirror rows 0..4 in x1, with the same y, so many
+        # partitions tie in SSE.
+        rng = np.random.default_rng(2)
+        half = np.column_stack([np.arange(1.0, 6.0), rng.integers(-3, 4, size=5)])
+        X = np.vstack([half, half * [-1.0, 1.0]])
+        y = np.tile(rng.integers(-3, 4, size=5).astype(float), 2)
+    fitted = []
+
+    def spy(X, y):
+        fitted.append((X.tobytes(), y.tobytes()))
+        return _ols(X, y)
+
+    with mock.patch.object(fitting, "_ols", spy):
+        assert naive_calr(Dataset(X=X, y=y)).m == 1
+    assert fitted and len(set(fitted)) == len(fitted)
+
+
+@pytest.mark.parametrize("n", [63, 70])
+def test_naive_solver_refuses_more_rows_than_a_subset_code_holds(n):
+    # A subset's code holds one bit per row; a raised cap must not reach
+    # the lattice's allocations past 62 rows.
+    rng = np.random.default_rng(0)
+    data = Dataset(X=rng.uniform(size=(n, 1)), y=rng.uniform(size=n))
+    with pytest.raises(InputError, match=f"at most 62 points.*got n={n}"):
+        naive_calr(data, cap=100)
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])

@@ -98,6 +98,16 @@ def test_mse_values_and_oracle():
     assert abs(mse(model, data) - total / data.n) <= 1e-12 * max(1.0, total / data.n)
 
 
+def test_mse_whose_residual_sum_of_squares_overflows_is_an_input_error():
+    # Predictions at |x| ~ 1e200 stay finite, but their squared residuals
+    # overflow; numpy's warning is an error under this suite's settings.
+    model = LinearModel(coeffs=np.array([0.0, 0.5]))
+    data = Dataset(X=np.array([[1e200], [-1e200], [0.0]]), y=np.zeros(3))
+    assert np.all(np.isfinite(model.predict_batch(data.X)))
+    with pytest.raises(InputError, match="residual sum of squares overflows"):
+        mse(model, data)
+
+
 def test_f_test_edge_branches():
     X = np.arange(10.0)[:, None]
     exact = Dataset(X=X, y=3.0 * X[:, 0] - 1.0)

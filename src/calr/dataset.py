@@ -365,10 +365,12 @@ def generate_separable(n, d, m, sigma, delta, seed):
     n, d, m = int(n), int(d), int(m)
     if d < 1 or n < 1 or m < 0:
         raise InputError("need n >= 1, d >= 1, m >= 0")
-    if sigma < 0:
-        raise InputError("sigma must be nonnegative")
-    if delta <= 0:
-        raise InputError("delta must be positive")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise InputError("sigma must be finite and nonnegative")
+    if not (np.isfinite(delta) and delta > 0):
+        raise InputError("delta must be finite and positive")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InputError("seed must be a nonnegative integer")
     if n < (m + 1) * (d + 2):
         raise InputError(
             f"need n >= (m+1)(d+2) = {(m + 1) * (d + 2)} so every region "

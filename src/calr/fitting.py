@@ -45,7 +45,7 @@ from .exceptions import (
     InputError,
     SeparabilityError,
 )
-from .geometry import _check_squares, _sq_dist, cac, cacs
+from .geometry import _point_sets, _sq_dist, cac, cacs
 from .linreg import RCOND, LinearModel, _f_pvalue, _ols, coefficient_distance, lr
 
 _EPS_MULTIPLIER = 4.0
@@ -70,7 +70,8 @@ class FitConfig:
 
     epsilon may be the string "auto" (estimate the residual scale from
     nearest-neighbour fits, _local_scale, before the first draw) or a
-    finite positive float, and delta must be finite and positive.
+    finite positive float, delta must be finite and positive, and seed a
+    nonnegative integer.
     max_samples of None means 200 * (2m)^(d+1) draws, sized so a pure
     within-piece sample is drawn many times over in expectation.
     """
@@ -91,6 +92,8 @@ class FitConfig:
                 raise InputError('epsilon must be finite and positive, or "auto"')
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise InputError("delta must be finite and positive")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise InputError("seed must be a nonnegative integer")
         if self.max_samples is not None and self.max_samples < 1:
             raise InputError("max_samples must be positive")
         if self.separator not in ("lp", "svm"):
@@ -221,7 +224,7 @@ class _Sampler:
         n, d, m = data.n, data.d, config.m
         if n <= (m + 1) * (d + 1):
             raise InputError(f"need n > (m+1)(d+1) = {(m + 1) * (d + 1)} points (got {n})")
-        _check_squares(data.X)
+        _point_sets(data.X)
         self.m = m
         self.rng = np.random.default_rng(config.seed)
         self.budget = config.max_samples or default_budget(m, d)
@@ -684,9 +687,9 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     reaches the walk's front has its code decoded to a mask and both sides
     fitted by _ols, and both orientations go on the heap that settles their
     order.  The loop refuses to run past the cap unless raised, or past 62
-    rows, one bit each of a subset's int64 code.  A y whose sums of squares
-    would overflow is an InputError, and so is an X whose squared distances
-    would, each decided before any of them is formed.
+    rows, one bit each of a subset's int64 code.  An empty dataset is an
+    InputError, and so is an X whose squared distances would overflow or a
+    y whose sums of squares would, each decided before any is formed.
     """
     n, d = data.n, data.d
     if n > cap:
@@ -700,6 +703,7 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
             f"one bit of a subset's code each (got n={n})"
         )
     X, y = data.X, data.y
+    _point_sets(X)
     # Every sum of squares below, global or per subset, stays under
     # 4 n max|y|^2 (one term of sum((y - mean)^2) reaches 4 max|y|^2).
     top, limit = float(np.max(np.abs(y))), math.sqrt(np.finfo(float).max / (4 * n))
@@ -708,7 +712,6 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
             f"the sums of squares of y overflow: |y| reaches {top:.3g}, "
             f"past {limit:.3g} for n={n}"
         )
-    _check_squares(X)
     global_fit = lr(data)
     global_sse = global_fit.mse * n
     # Ties are judged at rounding-noise resolution so an exactly-linear

@@ -85,21 +85,30 @@ def _sq_dist(X, x):
     return total
 
 
-def _check_squares(*point_sets):
-    """InputError when squared distances or inner products of these points could overflow.
+def _point_sets(*sets):
+    """The point sets a separator accepts, as float (k, d) arrays.
 
-    Coordinates no larger than L = sqrt(float max / 4d) keep every squared
-    distance under 4 d L^2 = float max and every inner product under d L^2.
-    Callers check before they form either.
+    They must share one d >= 1 (else DimensionMismatchError) and be
+    nonempty and finite (else InputError).  Coordinates no larger than
+    L = sqrt(float max / 4d) keep every squared distance under
+    4 d L^2 = float max and every inner product under d L^2; larger ones
+    are an InputError, decided before either is formed.
     """
-    d = point_sets[0].shape[-1]
-    peak = max(float(np.max(np.abs(P), initial=0.0)) for P in point_sets)
+    sets = [np.asarray(S, dtype=float) for S in sets]
+    dims = {S.shape[1] if S.ndim == 2 else 0 for S in sets}
+    if len(dims) != 1 or 0 in dims:
+        raise DimensionMismatchError("point sets must be (k, d) arrays sharing one d >= 1")
+    if not all(len(S) and np.all(np.isfinite(S)) for S in sets):
+        raise InputError("point sets must be nonempty and finite")
+    d = dims.pop()
+    peak = max(float(np.max(np.abs(S))) for S in sets)
     limit = math.sqrt(np.finfo(float).max / (4 * d))
     if peak > limit:
         raise InputError(
             f"the squared distances of the points overflow: |x| reaches {peak:.3g}, "
             f"past {limit:.3g} for d={d}"
         )
+    return sets
 
 
 @dataclass(eq=False)
@@ -189,28 +198,13 @@ class ConvexArea:
 # ---- separation primitives ----
 
 
-def _point_and_set(x0, points):
-    """x0 and points as float arrays: one dimension, a nonempty set, finite.
-
-    Coordinates past _check_squares's limit are an InputError.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or x0.shape != (P.shape[1],):
-        raise DimensionMismatchError("x0 and points disagree on dimension")
-    if len(P) == 0 or not (np.all(np.isfinite(P)) and np.all(np.isfinite(x0))):
-        raise InputError("need a nonempty point set and finite coordinates")
-    _check_squares(P, x0)
-    return x0, P
-
-
 def point_in_hull(x0, points) -> bool:
     """LP feasibility of x0 = sum(lam_i p_i), sum(lam) = 1, lam >= 0.
 
     The rows are posed as p_i - x0 with right-hand side 0: at |x| ~ 1e8
     the rounding of raw coordinates exceeds the feasibility tolerance.
     """
-    x0, P = _point_and_set(x0, points)
+    (x0,), P = _point_sets(np.asarray(x0, dtype=float)[None], points)
     from scipy.optimize import linprog  # SciPy loads on the first LP only
 
     n = len(P)
@@ -318,7 +312,7 @@ def gslp(x0, points):
     otherwise when the iteration cap (1000*n*d reflections) or the
     divergence guard is hit before all constraints hold.  No LP is used.
     """
-    x0, P = _point_and_set(x0, points)
+    (x0,), P = _point_sets(np.asarray(x0, dtype=float)[None], points)
     return None if _certified_inside(x0, P) else _gslp_reflect(x0, P)
 
 
@@ -352,21 +346,17 @@ def _gslp_reflect(x0, P):
     return HalfSpace(alpha=w, gamma=0.5 - float(w @ x0))
 
 
-def _smo_movable(y, a, c):
-    """Multipliers whose y_i * a_i can still rise, and those that can still fall."""
-    can_up = ((y > 0) & (a < c)) | ((y < 0) & (a > 0))
-    can_dn = ((y > 0) & (a > 0)) | ((y < 0) & (a < c))
-    return can_up, can_dn
+def _smo_select(yg, t, lo, hi):
+    """Most violating pair for the dual problem; returns (i, j, kkt_gap).
 
-
-def _smo_select(y, a, grad, c):
-    """Most violating pair for the dual problem; returns (i, j, kkt_gap)."""
-    yg = y * grad
-    can_up, can_dn = _smo_movable(y, a, c)
-    if not np.any(can_up) or not np.any(can_dn):
+    yg is y * grad and t = y * a the signed multipliers, lo <= t <= hi:
+    t[i] can still rise where t < hi, and t[j] can still fall where t > lo.
+    """
+    up = np.where(t < hi, yg, -np.inf)
+    dn = np.where(t > lo, yg, np.inf)
+    i, j = int(np.argmax(up)), int(np.argmin(dn))
+    if up[i] == -np.inf or dn[j] == np.inf:
         return -1, -1, 0.0
-    i = int(np.argmax(np.where(can_up, yg, -np.inf)))
-    j = int(np.argmin(np.where(can_dn, yg, np.inf)))
     return i, j, float(yg[i] - yg[j])
 
 
@@ -375,33 +365,31 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
 
     Minimizes 1/2 ||alpha||^2 + c * sum(xi) subject to
     y_i (alpha.x_i + gamma) >= 1 - xi_i, xi_i >= 0, via deterministic
-    most-violating-pair dual ascent; stops on the KKT gap and raises
-    after the iteration budget if still far from optimal.  The returned
-    half-space is oriented with the pos set on the positive side.  If any
-    input point lands exactly on the plane, gamma is nudged by a tiny
-    offset so no input evaluates to exactly zero.
+    most-violating-pair dual ascent on the signed multipliers t = y * a,
+    which lie in [0, c] where y = 1 and in [-c, 0] where y = -1 (Keerthi
+    et al. 2001); stops on the KKT gap and raises after the iteration
+    budget if still far from optimal.  c must be finite and positive.  The
+    returned half-space is oriented with the pos set on the positive side.
+    If any input point lands exactly on the plane, gamma is nudged by a
+    tiny offset so no input evaluates to exactly zero.
     """
-    P = np.asarray(pos, dtype=float)
-    N = np.asarray(neg, dtype=float)
-    if P.ndim != 2 or N.ndim != 2 or P.shape[1] != N.shape[1]:
-        raise DimensionMismatchError("pos/neg point sets disagree on dimension")
-    if len(P) == 0 or len(N) == 0:
-        raise InputError("svm_soft needs both point sets nonempty")
-    if c <= 0:
-        raise InputError("svm_soft needs c > 0")
+    if not (math.isfinite(c) and c > 0):
+        raise InputError("c must be finite and positive")
+    P, N = _point_sets(pos, neg)
     X = np.vstack([P, N])
-    _check_squares(X)
     y = np.concatenate([np.ones(len(P)), -np.ones(len(N))])
+    hi = c * (y > 0)
+    lo = hi - c
     n = len(X)
-    a = np.zeros(n)
+    t = np.zeros(n)
     grad = np.ones(n)  # d(dual)/d(a_i) at a = 0
     kkt_tol = 1e-8
     for _ in range(max_iter):
-        i, j, gap = _smo_select(y, a, grad, c)
+        i, j, gap = _smo_select(y * grad, t, lo, hi)
         if i < 0 or gap <= kkt_tol:
             break
-        room_i = (c - a[i]) if y[i] > 0 else a[i]
-        room_j = a[j] if y[j] > 0 else (c - a[j])
+        room_i = hi[i] - t[i]
+        room_j = t[j] - lo[j]
         diff = X[i] - X[j]
         curv = diff @ diff
         if curv > 1e-12:
@@ -410,23 +398,23 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
             step = min(room_i, room_j)
         if step <= 0.0:
             break
-        a[i] += y[i] * step
-        a[j] -= y[j] * step
+        t[i] += step
+        t[j] -= step
         grad -= step * y * (X @ diff)
         # Snap multipliers that rounding left a hair inside their bound so a
         # pinned point drops out of the working set instead of being
         # re-selected forever for vanishing steps.
         snapped = False
-        for t in (i, j):
-            if 0.0 < a[t] < 1e-12 * c:
-                a[t] = 0.0
+        for k in (i, j):
+            if 0.0 < abs(t[k]) < 1e-12 * c:
+                t[k] = 0.0
                 snapped = True
-            elif c * (1.0 - 1e-12) < a[t] < c:
-                a[t] = c
+            elif c * (1.0 - 1e-12) < abs(t[k]) < c:
+                t[k] = math.copysign(c, t[k])
                 snapped = True
         if snapped:
-            grad = 1.0 - y * (X @ ((y * a) @ X))
-    _, _, final_gap = _smo_select(y, a, grad, c)
+            grad = 1.0 - y * (X @ (t @ X))
+    _, _, final_gap = _smo_select(y * grad, t, lo, hi)
     if final_gap > 1e-3 * max(1.0, c):
         # The gap has the scale of c times the data, so "far from optimal"
         # is judged relative to the penalty.
@@ -434,22 +422,19 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
             f"svm_soft did not converge in {max_iter} iterations "
             f"(KKT gap {final_gap:.3e}, penalty {c:.1e})"
         )
-    w = (y * a) @ X
-    fx = X @ w
+    w = t @ X
+    f_vals = y - X @ w
+    a = np.abs(t)
     free = (a > 1e-9 * c) & (a < c * (1.0 - 1e-9))
     if np.any(free):
-        b = float(np.mean(y[free] - fx[free]))
+        b = float(np.mean(f_vals[free]))
     else:
-        f_vals = y - fx
-        can_up, can_dn = _smo_movable(y, a, c)
-        lo = np.max(f_vals[can_up]) if np.any(can_up) else None
-        hi = np.min(f_vals[can_dn]) if np.any(can_dn) else None
-        if lo is None:
-            b = float(hi)
-        elif hi is None:
-            b = float(lo)
-        else:
-            b = float((lo + hi) / 2.0)
+        # With no free multiplier the bias is only bracketed: at least
+        # y - f on every row that can still rise, at most on every row
+        # that can still fall.
+        rise = np.max(np.where(t < hi, f_vals, -np.inf))
+        fall = np.min(np.where(t > lo, f_vals, np.inf))
+        b = float(np.mean([v for v in (rise, fall) if np.isfinite(v)]))
     if not np.any(w != 0.0):
         # Fully overlapping classes: the optimum carries no direction, but
         # the contract promises a plane.  Report one through the data mean.
@@ -538,12 +523,7 @@ def _construct_area(points, inside, search):
     rows need a plane of their own; the area holds the same rows in any
     order.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] == 0:
-        raise DimensionMismatchError("points must be an (n, d) array with d >= 1")
-    if not np.all(np.isfinite(points)):
-        raise InputError("points must be finite")
-    _check_squares(points)
+    (points,) = _point_sets(points)
     inside = np.asarray(inside)
     if inside.dtype != bool or inside.shape != (len(points),):
         raise DimensionMismatchError("inside must be a boolean mask with one entry per point")

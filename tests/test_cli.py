@@ -120,10 +120,20 @@ def test_bad_inputs_exit_1(tmp_path):
     r = run_cli("fit", "--data", huge, "--algo", "naive")
     assert r.returncode == 1 and "squared distances of the points overflow" in r.stderr
     assert "Traceback" not in r.stderr
-    for flag, value in (("--delta", 0), ("--delta", "nan"), ("--epsilon", "nan"),
-                        ("--epsilon", "inf")):
-        r = run_cli("fit", "--data", data_path, flag, value)
-        assert r.returncode == 1 and "must be finite and positive" in r.stderr, (flag, value)
+    gen = ("gen", "--n", 40, "--d", 1, "--m", 1, "--out", tmp_path / "gen.csv")
+    fit = ("fit", "--data", data_path)
+    for argv, flag, value, message in (
+        (fit, "--delta", 0, "must be finite and positive"),
+        (fit, "--delta", "nan", "must be finite and positive"),
+        (fit, "--epsilon", "nan", "must be finite and positive"),
+        (fit, "--epsilon", "inf", "must be finite and positive"),
+        (fit, "--seed", -1, "seed must be a nonnegative integer"),
+        (gen, "--seed", -1, "seed must be a nonnegative integer"),
+        (gen, "--sigma", "nan", "sigma must be finite and nonnegative"),
+    ):
+        r = run_cli(*argv, flag, value)
+        assert r.returncode == 1 and message in r.stderr, (argv[0], flag, value)
+        assert "Traceback" not in r.stderr
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
     model = {"version": 1, "d": 1, "default": {"coeffs": [0.0, 1.0]}, "pieces": []}

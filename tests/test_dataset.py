@@ -345,8 +345,17 @@ def test_generator_rejects_bad_parameters():
         generate_separable(5, 2, 1, 0.1, 1.0, seed=0)  # n < (m+1)(d+2)
     with pytest.raises(InputError):
         generate_separable(50, 2, 1, -0.1, 1.0, seed=0)
-    with pytest.raises(InputError):
-        generate_separable(50, 2, 1, 0.1, 0.0, seed=0)
+    for sigma, delta, seed in (
+        (0.1, 0.0, 0),
+        (float("nan"), 1.0, 0),
+        (float("inf"), 1.0, 0),
+        (0.1, float("nan"), 0),
+        (0.1, float("inf"), 0),
+        (0.1, 1.0, -1),
+        (0.1, 1.0, 1.5),
+    ):
+        with pytest.raises(InputError):
+            generate_separable(50, 2, 1, sigma, delta, seed=seed)
     with pytest.raises(PlacementError):
         generate_separable(200, 1, 7, 0.1, 1.0, seed=0)  # only 6 slots on a line
     with pytest.raises(InputError):

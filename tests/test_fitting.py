@@ -72,6 +72,8 @@ def test_fit_config_validation():
         dict(delta=float("inf")),
         dict(max_samples=0),
         dict(separator="qp"),
+        dict(seed=-1),
+        dict(seed=1.5),
     ):
         with pytest.raises(InputError):
             FitConfig(**bad)
@@ -161,6 +163,12 @@ def test_naive_solver_enforces_its_cap():
     with pytest.raises(InputError):
         naive_calr(data, cap=10)
     naive_calr(data, cap=12)  # explicit raise runs the enumeration
+
+
+def test_naive_solver_rejects_an_empty_dataset():
+    for d in (1, 2):
+        with pytest.raises(InputError):
+            naive_calr(Dataset(X=np.zeros((0, d)), y=np.zeros(0)))
 
 
 def _reference_naive_calr(data):

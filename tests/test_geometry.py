@@ -166,6 +166,14 @@ def test_separation_rejects_empty_or_non_finite_input():
         for bad in ([np.nan, 1.0], [np.inf, 3.0]):
             with pytest.raises(InputError):
                 separate(np.vstack([D, bad]), np.array([True, True, True, False]))
+    for pos, neg in (
+        (np.vstack([D, [np.nan, 1.0]]), D + 5.0),
+        (D, np.vstack([D + 5.0, [5.0, -np.inf]])),
+        (np.zeros((0, 2)), D),
+        (D, np.zeros((0, 2))),
+    ):
+        with pytest.raises(InputError):
+            svm_soft(pos, neg)
 
 
 def test_gslp_agrees_with_hull_membership():
@@ -432,14 +440,36 @@ def test_svm_allocates_no_matrix_over_its_points():
     assert peak < 16e6
 
 
+def _smo_movable(y, a, c):
+    """Multipliers whose y_i * a_i can still rise, and those that can still fall."""
+    can_up = ((y > 0) & (a < c)) | ((y < 0) & (a > 0))
+    can_dn = ((y > 0) & (a > 0)) | ((y < 0) & (a < c))
+    return can_up, can_dn
+
+
+def _smo_select(y, a, grad, c):
+    """Most violating pair for the dual problem on the unsigned multipliers a."""
+    yg = y * grad
+    can_up, can_dn = _smo_movable(y, a, c)
+    if not np.any(can_up) or not np.any(can_dn):
+        return -1, -1, 0.0
+    i = int(np.argmax(np.where(can_up, yg, -np.inf)))
+    j = int(np.argmin(np.where(can_dn, yg, np.inf)))
+    return i, j, float(yg[i] - yg[j])
+
+
 def _gram_svm(pos, neg, c):
-    """The soft-margin plane (w, b) by SMO over the dense Gram matrix, as svm_soft once ran."""
+    """The soft-margin plane (w, b) by SMO over the dense Gram matrix.
+
+    It keeps its own pair selection, on a rather than on svm_soft's signed
+    multipliers, so it shares no step with the solver it checks.
+    """
     X = np.vstack([pos, neg])
     y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
     K = X @ X.T
     a, grad = np.zeros(len(X)), np.ones(len(X))
     for _ in range(geometry.SVM_MAX_ITER):
-        i, j, gap = geometry._smo_select(y, a, grad, c)
+        i, j, gap = _smo_select(y, a, grad, c)
         if i < 0 or gap <= 1e-8:
             break
         room_i = (c - a[i]) if y[i] > 0 else a[i]
@@ -464,7 +494,7 @@ def _gram_svm(pos, neg, c):
     free = (a > 1e-9 * c) & (a < c * (1.0 - 1e-9))
     if np.any(free):
         return w, float(np.mean(f_vals[free]))
-    can_up, can_dn = geometry._smo_movable(y, a, c)
+    can_up, can_dn = _smo_movable(y, a, c)
     bounds = [np.max(f_vals[can_up])] if np.any(can_up) else []
     bounds += [np.min(f_vals[can_dn])] if np.any(can_dn) else []
     return w, float(np.mean(bounds))
@@ -497,8 +527,9 @@ def test_svm_matches_the_gram_matrix_solver_on_separable_sets(draw):
 def test_svm_input_errors():
     with pytest.raises(InputError):
         svm_soft(np.zeros((0, 2)), np.ones((3, 2)), c=1.0)
-    with pytest.raises(InputError):
-        svm_soft(np.zeros((2, 2)), np.ones((3, 2)), c=0.0)
+    for c in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="must be finite and positive"):
+            svm_soft(np.zeros((2, 2)), np.ones((3, 2)), c=c)
     with pytest.raises(DimensionMismatchError):
         svm_soft(np.zeros((2, 2)), np.ones((3, 3)), c=1.0)
 
@@ -619,6 +650,13 @@ def test_area_construction_needs_points_with_a_coordinate():
     for separate in (cac, cacs):
         with pytest.raises(DimensionMismatchError):
             separate(np.zeros((3, 0)), np.array([True, False, False]))
+    for call in (
+        lambda: gslp(np.zeros(0), np.zeros((3, 0))),
+        lambda: point_in_hull(np.zeros(0), np.zeros((3, 0))),
+        lambda: svm_soft(np.zeros((2, 0)), np.zeros((3, 0))),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calf import CalfModel
-from .exceptions import CsvFormatError, DimensionMismatchError, InputError, PlacementError
+from .exceptions import (
+    CsvFormatError,
+    DimensionMismatchError,
+    InputError,
+    PlacementError,
+    _int_at_least,
+)
 from .geometry import ConvexArea, HalfSpace
 from .linreg import LinearModel, coefficient_distance
 
@@ -360,16 +366,16 @@ def generate_separable(n, d, m, sigma, delta, seed):
     box holding at least d+2 points; the default region holds at least d+2
     points kept clear of every box; y = f_piece(x) + N(0, sigma^2) noise
     from a seeded PCG64 generator, so output is a deterministic function of
-    the arguments.
+    the arguments.  n, d, m and seed must be integers; 10.7 and "10" are
+    InputErrors, not 10.
     """
-    n, d, m = int(n), int(d), int(m)
-    if d < 1 or n < 1 or m < 0:
-        raise InputError("need n >= 1, d >= 1, m >= 0")
+    if not (_int_at_least(n, 1) and _int_at_least(d, 1) and _int_at_least(m, 0)):
+        raise InputError("need integers n >= 1, d >= 1, m >= 0")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise InputError("sigma must be finite and nonnegative")
     if not (np.isfinite(delta) and delta > 0):
         raise InputError("delta must be finite and positive")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not _int_at_least(seed, 0):
         raise InputError("seed must be a nonnegative integer")
     if n < (m + 1) * (d + 2):
         raise InputError(

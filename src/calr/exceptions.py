@@ -3,7 +3,8 @@
 Two branches matter to callers: InputError (bad data or parameters, CLI
 exit code 1) and FitDiagnostic (the algorithm ran but could not finish
 under its assumptions, CLI exit code 2).  as_points is the one shape
-check behind every batch method that takes points.
+check behind every batch method that takes points, and _int_at_least the
+one check of a count or seed.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ class BudgetExhaustedError(FitDiagnostic):
 
 class SeparabilityError(FitDiagnostic):
     """The data violated a separability assumption mid-construction."""
+
+
+def _int_at_least(value, low) -> bool:
+    """Whether value is an int or numpy integer >= low: 1.5 and "2" are not counts."""
+    return isinstance(value, (int, np.integer)) and value >= low
 
 
 def as_points(X, d) -> np.ndarray:

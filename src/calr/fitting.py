@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations, count
 
@@ -44,9 +45,10 @@ from .exceptions import (
     ConvergenceError,
     InputError,
     SeparabilityError,
+    _int_at_least,
 )
 from .geometry import _point_sets, _sq_dist, cac, cacs
-from .linreg import RCOND, LinearModel, _f_pvalue, _ols, coefficient_distance, lr
+from .linreg import LinearModel, _f_pvalue, _lstsq, _ols, coefficient_distance, lr
 
 _EPS_MULTIPLIER = 4.0
 # Anchor rows whose nearest-neighbour fits _local_scale takes the median of.
@@ -68,12 +70,13 @@ _NAIVE_ROWS_LIMIT = 62
 class FitConfig:
     """Knobs for the sampling solvers.
 
-    epsilon may be the string "auto" (estimate the residual scale from
-    nearest-neighbour fits, _local_scale, before the first draw) or a
-    finite positive float, delta must be finite and positive, and seed a
-    nonnegative integer.
-    max_samples of None means 200 * (2m)^(d+1) draws, sized so a pure
-    within-piece sample is drawn many times over in expectation.
+    m must be a nonnegative integer.  epsilon may be the string "auto"
+    (estimate the residual scale from nearest-neighbour fits, _local_scale,
+    before the first draw) or a finite positive float, delta must be a
+    finite positive real number, and seed a nonnegative integer.
+    max_samples is a positive integer, or None for 200 * (2m)^(d+1) draws,
+    sized so a pure within-piece sample is drawn many times over in
+    expectation.
     """
 
     m: int = 1
@@ -84,18 +87,20 @@ class FitConfig:
     separator: str = "lp"
 
     def __post_init__(self):
-        if self.m < 0:
-            raise InputError("m must be nonnegative")
+        if not _int_at_least(self.m, 0):
+            raise InputError("m must be a nonnegative integer")
         if self.epsilon != "auto":
             self.epsilon = float(self.epsilon)
             if not (math.isfinite(self.epsilon) and self.epsilon > 0):
                 raise InputError('epsilon must be finite and positive, or "auto"')
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise InputError("delta must be finite and positive")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (
+            isinstance(self.delta, numbers.Real) and math.isfinite(self.delta) and self.delta > 0
+        ):
+            raise InputError("delta must be finite and positive (a real number)")
+        if not _int_at_least(self.seed, 0):
             raise InputError("seed must be a nonnegative integer")
-        if self.max_samples is not None and self.max_samples < 1:
-            raise InputError("max_samples must be positive")
+        if not (self.max_samples is None or _int_at_least(self.max_samples, 1)):
+            raise InputError("max_samples must be a positive integer or None")
         if self.separator not in ("lp", "svm"):
             raise InputError('separator must be "lp" or "svm"')
 
@@ -119,26 +124,19 @@ def _nearest(X, x, k):
 def _local_scale(X, y, rng) -> float:
     """Noise-scale estimate from small nearest-neighbor fits.
 
-    Fits a hyperplane to the 2(d+2) nearest neighbors of a few random
-    anchor points and takes the median residual scale: neighborhoods deep
-    inside one region measure the noise, while the minority straddling a
-    region boundary inflate and drop out of the median.
+    Fits a hyperplane to the 2(d+2) nearest neighbors of each of a few
+    random anchors, all in one _lstsq call, and takes the median residual
+    scale: neighborhoods deep inside one region measure the noise, while
+    those straddling a region boundary inflate and drop out of the median.
     """
     n, d = X.shape
     k = min(n, 2 * (d + 2))
     if k < d + 2:
         return 0.0
     idx = rng.choice(n, size=min(n, _SCALE_ANCHORS), replace=False)
-    ones = np.ones((k, 1))
-    scales = []
-    for i in idx:
-        nb = _nearest(X, X[i], k)
-        Xn, yn = X[nb], y[nb]
-        # _ols's least squares without its F-test, which this scale never reads.
-        beta = np.linalg.lstsq(np.concatenate([ones, Xn], axis=1), yn, rcond=RCOND)[0]
-        r = yn - (beta[0] + Xn @ beta[1:])
-        scales.append(math.sqrt(float(r @ r) / (k - d - 1)))
-    return float(np.median(scales))
+    nb = np.array([_nearest(X, X[i], k) for i in idx])
+    r = _lstsq(np.concatenate([np.ones((len(idx), k, 1)), X[nb]], axis=2), y[nb])[1]
+    return float(np.median(np.sqrt(np.einsum("ck,ck->c", r, r) / (k - d - 1))))
 
 
 def _auto_epsilon(X, y, rng) -> float:
@@ -182,24 +180,20 @@ def _refit_within(X, y, F, eps, fits):
 def _interpolant(S, ys, rest=None, own=None):
     """_ols's fit of d+1 sample rows (S, ys), or None if a sampling gate rejects it.
 
-    One SVD of A = [1 | S] settles the gates: full rank (matrix_rank's
-    tolerance); y fitted exactly and not flat, to which the F-test on d+1
-    points reduces (_f_pvalue is 0 then, else 1); and, given rest = [1 | Q],
-    no row q of Q outside the sample's own rows own whose barycentric
-    coordinates A^-T [1 | q] are all >= -1e-6, which for affinely
-    independent S is exact separability from Q and also skips rows barely
-    outside, costly to separate.
+    One _lstsq call on A = [1 | S] settles the gates with its fit and SVD:
+    full rank (matrix_rank's tolerance); y fitted exactly and not flat, to
+    which the F-test on d+1 points reduces (_f_pvalue is 0, else 1); and,
+    given rest = [1 | Q], no row q of Q outside the sample's rows own whose
+    barycentric coordinates A^-T [1 | q] are all >= -1e-6, which for
+    affinely independent S is exact separability from Q and also skips
+    rows barely outside, costly to separate.
     """
     k = len(S)
-    A = np.column_stack([np.ones(k), S])
-    U, s, Vt = np.linalg.svd(A)
+    beta, r, (U, s, Vt), _ = _lstsq(np.column_stack([np.ones(k), S]), ys)
     if s[-1] <= s[0] * k * np.finfo(float).eps:
         return None
-    s_inv = np.where(s > RCOND * s[0], 1.0 / s, 0.0)
-    beta = Vt.T @ (s_inv * (U.T @ ys))
-    fitted = A @ beta
-    sse = float((ys - fitted) @ (ys - fitted))
-    ssr = float(np.sum((fitted - float(np.mean(ys))) ** 2))
+    sse = float(r @ r)
+    ssr = float(np.sum((ys - r - float(np.mean(ys))) ** 2))
     if _f_pvalue(ssr, sse, k, k - 1, y_scale=float(ys @ ys)) != 0.0:
         return None
     if rest is not None:
@@ -509,16 +503,12 @@ def cas2(data: Dataset, config: FitConfig) -> CalfModel:
 
 
 def _svd_sse_floor(A, Y):
-    """_subset_floors's fallback: one SVD per system, with _ols's RCOND cutoff.
+    """_subset_floors's fallback: each system's _lstsq residual norm less the slack, squared.
 
-    Each system's least-squares residual is y minus its projection on the
-    left singular vectors whose singular values lie above RCOND times the
-    largest, as _ols's lstsq keeps them; the slack is _subset_floors's,
-    with cond the ratio of the largest kept singular value to the smallest.
+    _lstsq cuts as _ols does; the slack is _subset_floors's, with cond the
+    ratio of the largest kept singular value to the smallest.
     """
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    keep = s > RCOND * s[:, :1]
-    r = Y - np.einsum("cki,ci->ck", U, np.einsum("cki,ck->ci", U, Y) * keep)
+    _, r, (_, s, _), keep = _lstsq(A, Y)
     cond = s[:, 0] / np.min(np.where(keep, s, np.inf), axis=1)
     slack = _ROUNDING_SLACK * cond * np.linalg.norm(Y, axis=1)
     return np.maximum(np.linalg.norm(r, axis=1) - slack, 0.0) ** 2

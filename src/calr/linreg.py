@@ -1,10 +1,10 @@
 """Ordinary least squares with minimum-norm semantics and an F-test.
 
-The fit goes through the pseudo-inverse (SVD cutoff 1e-10 relative to the
-largest singular value), so rank-deficient systems return the minimum-norm
-coefficient vector instead of failing.  Significance is the classical
-overall F-test; its tail probability is computed by a local continued
-fraction evaluation of the regularized incomplete beta function.
+Every fit drops singular values at or below RCOND times the largest, so
+rank-deficient systems return the minimum-norm coefficient vector instead
+of failing: _ols through lstsq, _lstsq (a stack of systems, one SVD) for
+the samplers.  Significance is the overall F-test, its tail probability a
+continued fraction of the regularized incomplete beta function.
 """
 
 from __future__ import annotations
@@ -98,6 +98,20 @@ def _ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
         mse=mean_sq,
         p_value=_f_pvalue(ssr, sse, n, d, y_scale=float(y @ y)),
     )
+
+
+def _lstsq(A, Y):
+    """Minimum-norm least squares of each system A[c] b ~ Y[c] of a stack, by one SVD.
+
+    Singular values at or below RCOND times their system's largest are
+    dropped, as by _ols's lstsq, and never inverted.  Returns b, the
+    residuals Y - A b, the thin factors (U, s, Vt) and the mask of kept s.
+    """
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > RCOND * s[..., :1]
+    c = np.einsum("...ki,...k->...i", U, Y) * (keep / np.where(keep, s, 1.0))
+    beta = np.einsum("...ij,...i->...j", Vt, c)
+    return beta, Y - np.einsum("...kj,...j->...k", A, beta), (U, s, Vt), keep
 
 
 def lr(data: "Dataset") -> LinearModel:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .exceptions import InputError, SchemaError
+from .exceptions import InputError, SchemaError, _int_at_least
 from .model_io import _dump, _integer, _load
 
 MIP_SCHEMA_VERSION = 2
@@ -36,7 +36,11 @@ def default_tau(X: np.ndarray) -> float:
 
 @dataclass(eq=False)
 class MipInstance:
-    """One program: data matrix plus sizes (M pieces, K half-spaces each)."""
+    """One program: data matrix plus sizes (M pieces, K half-spaces each).
+
+    The sizes must be integers (numpy integers become ints): n, d >= 0 and
+    M, K >= 1.
+    """
 
     n: int
     d: int
@@ -47,8 +51,11 @@ class MipInstance:
     y: np.ndarray
 
     def __post_init__(self):
-        if self.M < 1 or self.K < 1:
-            raise InputError("need M >= 1 and K >= 1")
+        if not (_int_at_least(self.n, 0) and _int_at_least(self.d, 0)):
+            raise InputError("need integers n >= 0 and d >= 0")
+        if not (_int_at_least(self.M, 1) and _int_at_least(self.K, 1)):
+            raise InputError("need integers M >= 1 and K >= 1")
+        self.n, self.d, self.M, self.K = int(self.n), int(self.d), int(self.M), int(self.K)
         if not self.tau < 0:
             raise InputError("tau must be strictly negative")
         X = np.asarray(self.X, dtype=float)
@@ -161,7 +168,7 @@ def build_mip(data: Dataset, M: int, K: int, tau: float | None = None) -> MipIns
     """Materialize the program for a dataset and piece/half-space budget."""
     if tau is None:
         tau = default_tau(data.X)
-    return MipInstance(n=data.n, d=data.d, M=int(M), K=int(K), tau=float(tau), X=data.X, y=data.y)
+    return MipInstance(n=data.n, d=data.d, M=M, K=K, tau=float(tau), X=data.X, y=data.y)
 
 
 def instance_to_doc(instance: MipInstance) -> dict:

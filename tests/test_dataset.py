@@ -360,3 +360,9 @@ def test_generator_rejects_bad_parameters():
         generate_separable(200, 1, 7, 0.1, 1.0, seed=0)  # only 6 slots on a line
     with pytest.raises(InputError):
         generate_separable(50, 0, 1, 0.1, 1.0, seed=0)
+    # Counts are integers: a float or a string is not truncated or parsed.
+    for n, d, m in ((10.7, 1, 1), ("10", 1, 1), (50, 2.0, 1), (50, 2, 1.0), (50, 2, "1")):
+        with pytest.raises(InputError):
+            generate_separable(n, d, m, 0.01, 1.0, seed=0)
+    wide = generate_separable(np.int64(50), np.int64(2), np.int64(1), 0.1, 1.0, seed=0)[0]
+    assert wide == generate_separable(50, 2, 1, 0.1, 1.0, seed=0)[0]

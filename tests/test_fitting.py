@@ -61,8 +61,16 @@ def test_default_budget_values():
 def test_fit_config_validation():
     FitConfig(m=0)
     FitConfig(epsilon=0.5)
+    FitConfig(m=np.int64(2), delta=np.float32(0.5), max_samples=np.int64(9))
     for bad in (
         dict(m=-1),
+        dict(m=1.5),
+        dict(m="2"),
+        dict(m=None),
+        dict(max_samples=2.5),
+        dict(max_samples="9"),
+        dict(delta=None),
+        dict(delta="0.5"),
         dict(epsilon=-0.1),
         dict(epsilon=0.0),
         dict(delta=0.0),

@@ -1,15 +1,23 @@
 """Least-squares fitting, the F-test gate, and the incomplete beta function."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
 from calr.dataset import Dataset
 from calr.exceptions import DimensionMismatchError, InputError
+from calr.fitting import _local_scale, _nearest
 from calr.linreg import (
+    RCOND,
     LinearModel,
     _f_pvalue,
+    _lstsq,
     coefficient_distance,
     lr,
     mse,
@@ -194,6 +202,100 @@ def test_linear_model_validation_and_identity():
     assert hash(neg) == hash(LinearModel(coeffs=np.array([0.0, 2.0])))
     assert len({neg, LinearModel(coeffs=np.array([0.0, 2.0]))}) == 1
     assert np.signbit(neg.coeffs[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_stacked_kernel_matches_lstsq_on_each_system(draw):
+    # Constant columns, duplicate rows and an all-zero system are where the
+    # RCOND cutoff drops singular values; an all-zero system drops them all,
+    # so inverting a singular value it does not keep would divide by zero.
+    p = draw.draw(st.integers(1, 5), label="p")
+    k = draw.draw(st.integers(1, 8), label="k")
+    stack = draw.draw(st.integers(1, 4), label="stack")
+    # Entries are 0 or at least 1e-3 in magnitude, so no coefficient overflows.
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.floats(-5.0, -1e-3))
+    A = draw.draw(arrays(float, (stack, k, p), elements=entry), label="A")
+    Y = draw.draw(arrays(float, (stack, k), elements=st.floats(-5.0, 5.0)), label="Y")
+    shape = draw.draw(
+        st.sampled_from(["free", "constant columns", "duplicate rows", "all zero"]), label="shape"
+    )
+    if shape == "constant columns":
+        A[..., 0] = 1.0
+        A[..., -1] = 1.5
+    elif shape == "duplicate rows":
+        A[:, k // 2 :] = A[:, : k - k // 2]
+    elif shape == "all zero":
+        A[0] = 0.0
+    Y = Y + draw.draw(st.sampled_from([0.0, 1e4]), label="y offset")
+    beta, resid, (U, s, Vt), keep = _lstsq(A, Y)
+    assert beta.shape == (stack, p) and resid.shape == (stack, k)
+    assert_allclose(np.einsum("cki,ci,cij->ckj", U, s, Vt), A, atol=1e-12 * (1.0 + np.abs(A).max()))
+    for c in range(stack):
+        sv = np.linalg.svd(A[c], compute_uv=False)
+        # Keep clear of the cutoff, where the two SVDs may keep different
+        # numbers of singular values.
+        assume(not np.any((sv > 1e-2 * RCOND * sv[0]) & (sv < 1e2 * RCOND * sv[0])))
+        want, _, rank, _ = np.linalg.lstsq(A[c], Y[c], rcond=RCOND)
+        assert int(keep[c].sum()) == rank
+        if rank == 0:
+            assert np.array_equal(beta[c], np.zeros(p)) and np.array_equal(resid[c], Y[c])
+            continue
+        low = sv[rank - 1]
+        tol = 1e3 * np.finfo(float).eps * (sv[0] / low) * np.linalg.norm(Y[c])
+        # The coefficients in units of y, along the least-resolved direction.
+        assert np.linalg.norm(beta[c] - want) * low <= tol
+        assert np.linalg.norm(resid[c] - (Y[c] - A[c] @ want)) <= tol
+
+
+def _per_anchor_scale(X, y, rng):
+    """_local_scale as one lstsq per anchor, the loop the stacked kernel replaced."""
+    n, d = X.shape
+    k = min(n, 2 * (d + 2))
+    if k < d + 2:
+        return 0.0
+    idx = rng.choice(n, size=min(n, 25), replace=False)
+    ones = np.ones((k, 1))
+    scales = []
+    for i in idx:
+        nb = _nearest(X, X[i], k)
+        Xn, yn = X[nb], y[nb]
+        beta = np.linalg.lstsq(np.concatenate([ones, Xn], axis=1), yn, rcond=RCOND)[0]
+        r = yn - (beta[0] + Xn @ beta[1:])
+        scales.append(math.sqrt(float(r @ r) / (k - d - 1)))
+    return float(np.median(scales))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_local_scale_matches_the_per_anchor_loop(draw):
+    n = draw.draw(st.integers(3, 400), label="n")
+    d = draw.draw(st.integers(1, 4), label="d")
+    scale = 10.0 ** draw.draw(st.integers(-3, 3), label="x scale exponent")
+    y_kind = draw.draw(st.sampled_from(["noisy plane", "step", "constant"]), label="y")
+    offset = 0.0
+    if y_kind != "constant":
+        offset = draw.draw(st.sampled_from([0.0, 0.0, 1e5]), label="x offset")
+    seed = draw.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, size=(n, d))
+    X = offset + scale * u
+    if y_kind == "constant":
+        y = np.full(n, rng.uniform(-1e3, 1e3))
+    else:
+        y = 1.0 + u @ rng.uniform(-3.0, 3.0, size=d) + rng.normal(0.0, 0.1, size=n)
+        if y_kind == "step":
+            y += 2.0 * (u[:, 0] > 0.0)
+    got = _local_scale(X, y, np.random.default_rng(seed))
+    want = _per_anchor_scale(X, y, np.random.default_rng(seed))
+    if y_kind == "constant":
+        # Both scales are rounding noise on y's level.
+        assert abs(got - want) <= 1e-12 * (1.0 + np.max(np.abs(y)))
+    else:
+        # A shifted X puts the neighbourhoods' systems at cond up to ~1e9 in
+        # raw coordinates, where any two solves differ in the scale's 7th
+        # digit or so; unshifted, they agree to about 1e-13.
+        assert got == pytest.approx(want, rel=1e-6 if offset else 1e-10, abs=0.0)
 
 
 def test_incomplete_beta_spot_values_and_edges():

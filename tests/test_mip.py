@@ -183,6 +183,16 @@ def test_instance_validation():
         MipInstance(n=5, d=2, M=1, K=1, tau=0.0, X=X, y=y)
     with pytest.raises(InputError):
         MipInstance(n=4, d=2, M=1, K=1, tau=-1e-6, X=X, y=y)
+    # Sizes are integers: a float or a string is not truncated or parsed.
+    for M, K in ((1.5, 1), (1, 2.7), ("1", 1), (1, None)):
+        with pytest.raises(InputError):
+            MipInstance(n=5, d=2, M=M, K=K, tau=-1e-6, X=X, y=y)
+        with pytest.raises(InputError):
+            build_mip(Dataset(X=X, y=y), M=M, K=K)
+    with pytest.raises(InputError):
+        MipInstance(n=5.0, d=2, M=1, K=1, tau=-1e-6, X=X, y=y)
+    instance = build_mip(Dataset(X=X, y=y), M=np.int64(2), K=np.int64(3))
+    assert (type(instance.M), type(instance.K)) == (int, int)
 
 
 def test_default_tau_scales_with_the_data():

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, InputError, as_points
+from .exceptions import DimensionMismatchError, InputError, _real, as_points
 from .geometry import ConvexArea, HalfSpace
 from .linreg import LinearModel
 
@@ -18,10 +18,13 @@ class CalfModel:
     Prediction uses the lowest-index piece whose area contains the query
     point and falls back to the default model outside every piece.  Piece
     index 0 names the default region; pieces are numbered from 1.
+    fit_info is what the solver that made the model reports about the fit
+    (every solver sets "algorithm"); it takes no part in equality.
     """
 
     default: LinearModel
     pieces: tuple = ()
+    fit_info: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         ps = []
@@ -106,7 +109,7 @@ class PldcSpec:
                 a = np.asarray(a, dtype=float).copy()
                 if a.ndim != 1 or a.size == 0:
                     raise InputError(f"{label} slopes must be nonempty 1-D vectors")
-                if not np.all(np.isfinite(a)) or not np.isfinite(c):
+                if not (np.all(np.isfinite(a)) and _real(c) and -np.inf < c < np.inf):
                     raise InputError(f"{label} coefficients must be finite")
                 a.setflags(write=False)
                 out.append((a, float(c)))

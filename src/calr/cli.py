@@ -117,7 +117,7 @@ def cmd_gen(args) -> int:
 
 def _fit_report(model: CalfModel, data: Dataset, status: str) -> str:
     lines = [f"status: {status}"]
-    info = getattr(model, "fit_info", {})
+    info = model.fit_info
     if "algorithm" in info:
         lines.append(f"algorithm: {info['algorithm']}")
     lines.append(f"mse: {mse(model, data)!r}")

@@ -16,6 +16,7 @@ from .exceptions import (
     InputError,
     PlacementError,
     _int_at_least,
+    _real,
 )
 from .geometry import ConvexArea, HalfSpace
 from .linreg import LinearModel, coefficient_distance
@@ -244,7 +245,8 @@ class GroundTruth:
 
     assignments[i] is the piece index of row i (0 = the default region);
     margin_epsilon bounds every |f(x) - y| strictly, and separation_delta
-    lower-bounds all pairwise coefficient distances.
+    lower-bounds all pairwise coefficient distances.  All three scalars are
+    finite real numbers, noise_sigma >= 0 and the other two > 0.
     """
 
     model: CalfModel
@@ -264,10 +266,11 @@ class GroundTruth:
             raise InputError("assignments must index the model's pieces")
         a.setflags(write=False)
         self.assignments = a
-        if self.noise_sigma < 0:
-            raise InputError("noise_sigma must be nonnegative")
-        if self.separation_delta <= 0 or self.margin_epsilon <= 0:
-            raise InputError("separation_delta and margin_epsilon must be positive")
+        if not (_real(self.noise_sigma) and 0 <= self.noise_sigma < np.inf):
+            raise InputError("noise_sigma must be finite and nonnegative")
+        positive = (self.separation_delta, self.margin_epsilon)
+        if not all(_real(v) and 0 < v < np.inf for v in positive):
+            raise InputError("separation_delta and margin_epsilon must be finite and positive")
 
     @property
     def functions(self) -> tuple:
@@ -367,13 +370,14 @@ def generate_separable(n, d, m, sigma, delta, seed):
     points kept clear of every box; y = f_piece(x) + N(0, sigma^2) noise
     from a seeded PCG64 generator, so output is a deterministic function of
     the arguments.  n, d, m and seed must be integers; 10.7 and "10" are
-    InputErrors, not 10.
+    InputErrors, not 10.  sigma >= 0 and delta > 0 must be finite real
+    numbers; "0.1" is not parsed.
     """
     if not (_int_at_least(n, 1) and _int_at_least(d, 1) and _int_at_least(m, 0)):
         raise InputError("need integers n >= 1, d >= 1, m >= 0")
-    if not (np.isfinite(sigma) and sigma >= 0):
+    if not (_real(sigma) and 0 <= sigma < np.inf):
         raise InputError("sigma must be finite and nonnegative")
-    if not (np.isfinite(delta) and delta > 0):
+    if not (_real(delta) and 0 < delta < np.inf):
         raise InputError("delta must be finite and positive")
     if not _int_at_least(seed, 0):
         raise InputError("seed must be a nonnegative integer")

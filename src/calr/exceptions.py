@@ -3,11 +3,14 @@
 Two branches matter to callers: InputError (bad data or parameters, CLI
 exit code 1) and FitDiagnostic (the algorithm ran but could not finish
 under its assumptions, CLI exit code 2).  as_points is the one shape
-check behind every batch method that takes points, and _int_at_least the
-one check of a count or seed.
+check behind every batch method that takes points.  A scalar parameter
+passes _int_at_least (a count or seed) or _real (any other number), then a
+chained comparison that NaN fails; neither takes a bool, string or None.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -71,8 +74,14 @@ class SeparabilityError(FitDiagnostic):
 
 
 def _int_at_least(value, low) -> bool:
-    """Whether value is an int or numpy integer >= low: 1.5 and "2" are not counts."""
-    return isinstance(value, (int, np.integer)) and value >= low
+    """Whether value is an int or numpy integer >= low: True, 1.5 and "2" are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
+def _real(value) -> bool:
+    """Whether value is a real number, numpy reals included: True, "0.5" and None are not."""
+    # A float skips the ABC check, ten times dearer, which the F-test would pay per fit.
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def as_points(X, d) -> np.ndarray:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations, count
 
@@ -46,6 +45,7 @@ from .exceptions import (
     InputError,
     SeparabilityError,
     _int_at_least,
+    _real,
 )
 from .geometry import _point_sets, _sq_dist, cac, cacs
 from .linreg import LinearModel, _f_pvalue, _lstsq, _ols, coefficient_distance, lr
@@ -72,8 +72,9 @@ class FitConfig:
 
     m must be a nonnegative integer.  epsilon may be the string "auto"
     (estimate the residual scale from nearest-neighbour fits, _local_scale,
-    before the first draw) or a finite positive float, delta must be a
-    finite positive real number, and seed a nonnegative integer.
+    before the first draw) or a finite positive real number, as must delta;
+    seed is a nonnegative integer.  Numbers are taken as given: "0.1" and
+    True are InputErrors, not parsed.
     max_samples is a positive integer, or None for 200 * (2m)^(d+1) draws,
     sized so a pure within-piece sample is drawn many times over in
     expectation.
@@ -89,13 +90,9 @@ class FitConfig:
     def __post_init__(self):
         if not _int_at_least(self.m, 0):
             raise InputError("m must be a nonnegative integer")
-        if self.epsilon != "auto":
-            self.epsilon = float(self.epsilon)
-            if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-                raise InputError('epsilon must be finite and positive, or "auto"')
-        if not (
-            isinstance(self.delta, numbers.Real) and math.isfinite(self.delta) and self.delta > 0
-        ):
+        if not (_real(self.epsilon) and 0 < self.epsilon < math.inf or self.epsilon == "auto"):
+            raise InputError('epsilon must be finite and positive, or "auto"')
+        if not (_real(self.delta) and 0 < self.delta < math.inf):
             raise InputError("delta must be finite and positive (a real number)")
         if not _int_at_least(self.seed, 0):
             raise InputError("seed must be a nonnegative integer")
@@ -106,7 +103,9 @@ class FitConfig:
 
 
 def default_budget(m: int, d: int) -> int:
-    """Default sampling budget: 200 * (2m)^(d+1) draws."""
+    """Default sampling budget: 200 * (2m)^(d+1) draws, for integers m >= 0 and d >= 1."""
+    if not (_int_at_least(m, 0) and _int_at_least(d, 1)):
+        raise InputError("need integers m >= 0 and d >= 1")
     return 200 * (2 * max(m, 1)) ** (d + 1)
 
 
@@ -158,7 +157,7 @@ def _refit_within(X, y, F, eps, fits):
     refits run out (a cycling set), each other model is the fit of
     exactly its own rows.  A model whose own rows are those it was last
     refitted on in this call keeps its fit, which a refit would repeat bit
-    for bit.
+    for bit, so the loop ends on the first pass that refits none.
     """
     d = X.shape[1]
     fitted = [None] * len(F)
@@ -171,9 +170,7 @@ def _refit_within(X, y, F, eps, fits):
                 refitted = True
         if not refitted:
             break
-        fits, before = _within(X, y, F, eps), fits
-        if np.array_equal(fits, before):
-            break
+        fits = _within(X, y, F, eps)
     return fits
 
 
@@ -278,7 +275,10 @@ def post(H_partial, leftovers: Dataset, epsilon: float, exclude=None, separate=c
     earlier model; optional exclude points are kept out of every new area.
     Raises SeparabilityError when some pair's point set cannot be
     separated; every leftover point ends up in exactly one returned area.
+    epsilon must be a finite positive real number.
     """
+    if not (_real(epsilon) and 0 < epsilon < math.inf):
+        raise InputError("epsilon must be finite and positive")
     if leftovers.n == 0:
         return []
     models = [f for f, _ in H_partial]
@@ -311,8 +311,8 @@ def post(H_partial, leftovers: Dataset, epsilon: float, exclude=None, separate=c
     return new_pairs
 
 
-def _global_model(data: Dataset) -> CalfModel:
-    return CalfModel(default=lr(data), pieces=())
+def _global_model(data: Dataset, **fit_info) -> CalfModel:
+    return CalfModel(default=lr(data), fit_info=fit_info)
 
 
 def _assemble(data, F, eps, separate):
@@ -441,9 +441,7 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
     sampling.
     """
     if config.m == 0:
-        model = _global_model(data)
-        model.fit_info = {"samples_used": 0, "epsilon": None, "algorithm": "cas"}
-        return model
+        return _global_model(data, samples_used=0, epsilon=None, algorithm="cas")
     X, y, d = data.X, data.y, data.d
     target = config.m + 1
 
@@ -676,16 +674,17 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     _stable_front sorts only as far as it reads; only an entry whose bound
     reaches the walk's front has its code decoded to a mask and both sides
     fitted by _ols, and both orientations go on the heap that settles their
-    order.  The loop refuses to run past the cap unless raised, or past 62
-    rows, one bit each of a subset's int64 code.  An empty dataset is an
-    InputError, and so is an X whose squared distances would overflow or a
-    y whose sums of squares would, each decided before any is formed.
+    order.  The loop refuses to run past the cap, an integer, unless it is
+    raised, or past 62 rows, one bit each of a subset's int64 code.  An
+    empty dataset is an InputError, and so is an X whose squared distances
+    would overflow or a y whose sums of squares would, each decided before
+    any is formed.  The model's fit_info is {"algorithm": "naive"}.
     """
     n, d = data.n, data.d
-    if n > cap:
+    if not _int_at_least(cap, n):
         raise InputError(
             f"subset enumeration over n={n} points is exponential; "
-            f"raise the cap ({cap}) explicitly to force it"
+            f"raise the cap ({cap!r}, an integer) explicitly to force it"
         )
     if n > _NAIVE_ROWS_LIMIT:
         raise InputError(
@@ -712,7 +711,7 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     stop = global_sse - tie_tol
     sizes = range(d + 1, n - d)
     if not sizes:
-        return _global_model(data)
+        return _global_model(data, algorithm="naive")
     levels = _subset_floors(np.column_stack([np.ones(n), X]), y, sizes)
     # Candidate i is the (i - starts[j])-th subset of size sizes[j]; sizes
     # are symmetric, so its complement is candidate last - i, and the walk
@@ -733,7 +732,7 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
                 break  # remaining candidates cannot beat the zero-piece model
             area = cac(X, mask)
             if area is not None:
-                return CalfModel(default=f_out, pieces=((f_in, area),))
+                return CalfModel(f_out, ((f_in, area),), fit_info={"algorithm": "naive"})
             continue
         if floor >= stop:
             break
@@ -746,4 +745,4 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
         sse = f_in.mse * k + f_out.mse * (n - k)
         heapq.heappush(fitted, (sse, i, mask, f_in, f_out))
         heapq.heappush(fitted, (sse, last - i, ~mask, f_out, f_in))
-    return _global_model(data)
+    return _global_model(data, algorithm="naive")

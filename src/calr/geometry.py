@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DimensionMismatchError, InputError, as_points
+from .exceptions import _int_at_least, _real
 
 GEO_TOL_SCALE = 1e-9
 HULL_TOL = 1e-9
@@ -122,7 +123,7 @@ class HalfSpace:
         a = np.asarray(self.alpha, dtype=float).copy()
         if a.ndim != 1 or a.size == 0:
             raise InputError("alpha must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(a)) or not np.isfinite(self.gamma):
+        if not (np.all(np.isfinite(a)) and _real(self.gamma) and -math.inf < self.gamma < math.inf):
             raise InputError("half-space coefficients must be finite")
         if not np.any(a != 0.0):
             raise InputError("alpha must be nonzero")
@@ -368,13 +369,16 @@ def svm_soft(pos, neg, c: float = SVM_C_DEFAULT, max_iter: int = SVM_MAX_ITER):
     most-violating-pair dual ascent on the signed multipliers t = y * a,
     which lie in [0, c] where y = 1 and in [-c, 0] where y = -1 (Keerthi
     et al. 2001); stops on the KKT gap and raises after the iteration
-    budget if still far from optimal.  c must be finite and positive.  The
-    returned half-space is oriented with the pos set on the positive side.
-    If any input point lands exactly on the plane, gamma is nudged by a
-    tiny offset so no input evaluates to exactly zero.
+    budget if still far from optimal.  c must be a finite positive real
+    number and max_iter a positive integer.  The returned half-space is
+    oriented with the pos set on the positive side.  If any input point
+    lands exactly on the plane, gamma is nudged by a tiny offset so no
+    input evaluates to exactly zero.
     """
-    if not (math.isfinite(c) and c > 0):
+    if not (_real(c) and 0 < c < math.inf):
         raise InputError("c must be finite and positive")
+    if not _int_at_least(max_iter, 1):
+        raise InputError("max_iter must be a positive integer")
     P, N = _point_sets(pos, neg)
     X = np.vstack([P, N])
     y = np.concatenate([np.ones(len(P)), -np.ones(len(N))])

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DimensionMismatchError, InputError, as_points
+from .exceptions import ConvergenceError, DimensionMismatchError, InputError, _real, as_points
 
 if TYPE_CHECKING:
     from .dataset import Dataset
@@ -212,8 +212,10 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1], to absolute tolerance ~1e-12."""
-    if a <= 0.0 or b <= 0.0:
-        raise InputError("incomplete beta requires a > 0 and b > 0")
+    if not (_real(a) and _real(b) and 0 < a < math.inf and 0 < b < math.inf):
+        raise InputError("incomplete beta requires finite a > 0 and b > 0")
+    if not (_real(x) and 0 <= x <= 1):
+        raise InputError("incomplete beta requires x in [0, 1]")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .exceptions import InputError, SchemaError, _int_at_least
+from .exceptions import InputError, SchemaError, _int_at_least, _real
 from .model_io import _dump, _integer, _load
 
 MIP_SCHEMA_VERSION = 2
@@ -39,7 +39,7 @@ class MipInstance:
     """One program: data matrix plus sizes (M pieces, K half-spaces each).
 
     The sizes must be integers (numpy integers become ints): n, d >= 0 and
-    M, K >= 1.
+    M, K >= 1.  tau is a negative real number, -inf included.
     """
 
     n: int
@@ -56,7 +56,7 @@ class MipInstance:
         if not (_int_at_least(self.M, 1) and _int_at_least(self.K, 1)):
             raise InputError("need integers M >= 1 and K >= 1")
         self.n, self.d, self.M, self.K = int(self.n), int(self.d), int(self.M), int(self.K)
-        if not self.tau < 0:
+        if not (_real(self.tau) and self.tau < 0):
             raise InputError("tau must be strictly negative")
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
@@ -168,7 +168,7 @@ def build_mip(data: Dataset, M: int, K: int, tau: float | None = None) -> MipIns
     """Materialize the program for a dataset and piece/half-space budget."""
     if tau is None:
         tau = default_tau(data.X)
-    return MipInstance(n=data.n, d=data.d, M=M, K=K, tau=float(tau), X=data.X, y=data.y)
+    return MipInstance(n=data.n, d=data.d, M=M, K=K, tau=tau, X=data.X, y=data.y)
 
 
 def instance_to_doc(instance: MipInstance) -> dict:

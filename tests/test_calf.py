@@ -216,6 +216,9 @@ def test_pldc_validation_errors():
             plus_terms=((np.array([np.nan]), 0.0),),
             minus_terms=((np.array([1.0]), 0.0),),
         )
+    for c in (float("nan"), float("inf"), "0.5", None, True):
+        with pytest.raises(InputError, match="coefficients must be finite"):
+            PldcSpec(plus_terms=((np.array([1.0]), c),), minus_terms=((np.array([1.0]), 0.0),))
     with pytest.raises(DimensionMismatchError):
         PldcSpec(
             plus_terms=((np.array([1.0, 2.0]), 0.0),),

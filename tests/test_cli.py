@@ -244,6 +244,7 @@ def test_naive_fit_recovers_the_plateau(tmp_path):
     out = tmp_path / "model.json"
     r = run_cli("naive-fit", "--data", data_path, "--out", out)
     assert r.returncode == 0, r.stderr
+    assert "algorithm: naive" in r.stdout
     model = load_model(out)
     assert model.m == 1
     assert_allclose(model.pieces[0][0].coeffs, [5.0, 0.0], atol=1e-9)

@@ -13,7 +13,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from calr import dataset
 from calr.calf import overlapping_training_points
-from calr.dataset import Dataset, generate_separable, load_csv, load_matrix, write_csv
+from calr.dataset import (
+    Dataset,
+    GroundTruth,
+    generate_separable,
+    load_csv,
+    load_matrix,
+    write_csv,
+)
 from calr.exceptions import (
     CsvFormatError,
     DimensionMismatchError,
@@ -353,6 +360,13 @@ def test_generator_rejects_bad_parameters():
         (0.1, float("inf"), 0),
         (0.1, 1.0, -1),
         (0.1, 1.0, 1.5),
+        ("0.1", 1.0, 0),
+        (None, 1.0, 0),
+        (True, 1.0, 0),
+        (0.1, "1.0", 0),
+        (0.1, None, 0),
+        (0.1, True, 0),
+        (0.1, 1.0, True),
     ):
         with pytest.raises(InputError):
             generate_separable(50, 2, 1, sigma, delta, seed=seed)
@@ -361,8 +375,23 @@ def test_generator_rejects_bad_parameters():
     with pytest.raises(InputError):
         generate_separable(50, 0, 1, 0.1, 1.0, seed=0)
     # Counts are integers: a float or a string is not truncated or parsed.
-    for n, d, m in ((10.7, 1, 1), ("10", 1, 1), (50, 2.0, 1), (50, 2, 1.0), (50, 2, "1")):
+    for n, d, m in (
+        (10.7, 1, 1), ("10", 1, 1), (50, 2.0, 1), (50, 2, 1.0), (50, 2, "1"), (50, 2, True)
+    ):
         with pytest.raises(InputError):
             generate_separable(n, d, m, 0.01, 1.0, seed=0)
     wide = generate_separable(np.int64(50), np.int64(2), np.int64(1), 0.1, 1.0, seed=0)[0]
     assert wide == generate_separable(50, 2, 1, 0.1, 1.0, seed=0)[0]
+    narrow = generate_separable(50, 2, 1, np.float64(0.1), np.float32(1.0), seed=0)[0]
+    assert narrow == generate_separable(50, 2, 1, 0.1, 1.0, seed=0)[0]
+
+
+def test_ground_truth_rejects_scalars_that_are_not_finite_reals():
+    _, truth = generate_separable(50, 2, 1, 0.1, 1.0, seed=0)
+    fields = dict(model=truth.model, assignments=truth.assignments,
+                  noise_sigma=0.1, separation_delta=1.0, margin_epsilon=0.5)
+    GroundTruth(**{**fields, "noise_sigma": 0, "margin_epsilon": np.float32(0.5)})
+    for name in ("noise_sigma", "separation_delta", "margin_epsilon"):
+        for bad in (float("nan"), float("inf"), -1.0, "0.1", None, True):
+            with pytest.raises(InputError, match="must be finite"):
+                GroundTruth(**{**fields, name: bad})

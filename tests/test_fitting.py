@@ -56,12 +56,17 @@ def test_default_budget_values():
     assert default_budget(2, 2) == 12800
     assert default_budget(0, 1) == 800  # m=0 still budgets as one piece
     assert default_budget(3, 3) == 200 * 6**4
+    assert default_budget(np.int64(2), np.int64(2)) == 12800
+    for m, d in (("2", 2), (1.5, 2), (True, 2), (2, None), (2, 0)):
+        with pytest.raises(InputError):
+            default_budget(m, d)
 
 
 def test_fit_config_validation():
     FitConfig(m=0)
     FitConfig(epsilon=0.5)
     FitConfig(m=np.int64(2), delta=np.float32(0.5), max_samples=np.int64(9))
+    assert FitConfig(epsilon=np.float32(0.25), delta=1).epsilon == 0.25
     for bad in (
         dict(m=-1),
         dict(m=1.5),
@@ -82,6 +87,15 @@ def test_fit_config_validation():
         dict(separator="qp"),
         dict(seed=-1),
         dict(seed=1.5),
+        # A number is taken as given: a string is not parsed, a bool is no number.
+        dict(epsilon="0.1"),
+        dict(epsilon="abc"),
+        dict(epsilon=None),
+        dict(epsilon=True),
+        dict(delta=True),
+        dict(m=True),
+        dict(seed=True),
+        dict(max_samples=True),
     ):
         with pytest.raises(InputError):
             FitConfig(**bad)
@@ -99,6 +113,16 @@ def test_post_carves_overlap_strips():
     assert owner is a  # the earlier model takes the shared strip
     assert area.contains(np.array([0.0])) and area.contains(np.array([0.01]))
     assert not area.contains(np.array([5.0])) and not area.contains(np.array([-5.0]))
+
+
+def test_post_rejects_an_epsilon_that_is_not_a_finite_positive_real():
+    pair = [(LinearModel(coeffs=np.array([0.0, 0.0])), None),
+            (LinearModel(coeffs=np.array([0.0, 1.0])), None)]
+    leftovers = Dataset(X=np.array([[0.0], [0.01]]), y=np.array([0.0, 0.005]))
+    assert len(post(pair, leftovers, np.float32(0.1))) == 1
+    for epsilon in ("x", None, True, 0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="epsilon must be finite and positive"):
+            post(pair, leftovers, epsilon)
 
 
 @pytest.mark.parametrize("seed", [43, 65])
@@ -170,7 +194,13 @@ def test_naive_solver_enforces_its_cap():
     data = Dataset(X=X, y=rng.uniform(size=12))
     with pytest.raises(InputError):
         naive_calr(data, cap=10)
-    naive_calr(data, cap=12)  # explicit raise runs the enumeration
+    # The cap is an integer: a float, a string or None does not raise it.
+    for cap in (12.5, 12.0, float("inf"), float("nan"), "12", None):
+        with pytest.raises(InputError):
+            naive_calr(data, cap=cap)
+    model = naive_calr(data, cap=12)  # explicit raise runs the enumeration
+    assert model.fit_info == {"algorithm": "naive"}
+    assert naive_calr(data, cap=np.int64(12)) == model
 
 
 def test_naive_solver_rejects_an_empty_dataset():

@@ -75,6 +75,11 @@ def test_halfspace_membership_and_validation():
         HalfSpace(alpha=np.zeros(2), gamma=1.0)
     with pytest.raises(InputError):
         HalfSpace(alpha=np.array([np.inf, 1.0]), gamma=0.0)
+    for gamma in (float("nan"), float("inf"), "0.5", None, True):
+        with pytest.raises(InputError, match="must be finite"):
+            HalfSpace(alpha=np.array([1.0, 0.0]), gamma=gamma)
+    assert HalfSpace(alpha=np.array([1.0, 0.0]), gamma=np.float32(-1.0)) == h
+    assert HalfSpace(alpha=np.array([1.0, 0.0]), gamma=-1) == h
     with pytest.raises(DimensionMismatchError):
         h.value(np.array([1.0]))
 
@@ -527,9 +532,14 @@ def test_svm_matches_the_gram_matrix_solver_on_separable_sets(draw):
 def test_svm_input_errors():
     with pytest.raises(InputError):
         svm_soft(np.zeros((0, 2)), np.ones((3, 2)), c=1.0)
-    for c in (0.0, -1.0, float("nan"), float("inf")):
+    for c in (0.0, -1.0, float("nan"), float("inf"), None, "1", True):
         with pytest.raises(InputError, match="must be finite and positive"):
             svm_soft(np.zeros((2, 2)), np.ones((3, 2)), c=c)
+    for max_iter in (2.5, 0, "5", None, True):
+        with pytest.raises(InputError, match="max_iter must be a positive integer"):
+            svm_soft(np.zeros((2, 2)), np.ones((3, 2)), c=1.0, max_iter=max_iter)
+    h = svm_soft(np.zeros((2, 2)), np.ones((3, 2)), c=np.float32(1.0), max_iter=np.int64(100))
+    assert h == svm_soft(np.zeros((2, 2)), np.ones((3, 2)), c=1.0, max_iter=100)
     with pytest.raises(DimensionMismatchError):
         svm_soft(np.zeros((2, 2)), np.ones((3, 3)), c=1.0)
 

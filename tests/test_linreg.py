@@ -311,6 +311,14 @@ def test_incomplete_beta_spot_values_and_edges():
     assert regularized_incomplete_beta(2.0, 2.0, 1.0) == 1.0
     with pytest.raises(InputError):
         regularized_incomplete_beta(0.0, 1.0, 0.5)
+    nan, inf = float("nan"), float("inf")
+    for args in ((nan, 1.0, 0.5), (1.0, nan, 0.5), (1.0, 1.0, nan), (inf, 1.0, 0.5),
+                 ("1", 1.0, 0.5), (True, 1.0, 0.5), (1.0, 1.0, None), (1.0, 1.0, 1.5),
+                 (1.0, 1.0, -0.5)):
+        with pytest.raises(InputError, match="incomplete beta requires"):
+            regularized_incomplete_beta(*args)
+    want = regularized_incomplete_beta(2.0, 3.0, 0.5)
+    assert regularized_incomplete_beta(2, np.int64(3), np.float64(0.5)) == want
     rng = np.random.default_rng(3)
     for _ in range(50):
         a = float(rng.uniform(0.2, 20.0))

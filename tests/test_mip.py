@@ -191,6 +191,16 @@ def test_instance_validation():
             build_mip(Dataset(X=X, y=y), M=M, K=K)
     with pytest.raises(InputError):
         MipInstance(n=5.0, d=2, M=1, K=1, tau=-1e-6, X=X, y=y)
+    with pytest.raises(InputError):
+        MipInstance(n=5, d=2, M=True, K=1, tau=-1e-6, X=X, y=y)
+    # tau is a real number: a string is not parsed, None is no value.
+    for tau in ("-1e-6", None):
+        with pytest.raises(InputError, match="tau must be strictly negative"):
+            MipInstance(n=5, d=2, M=1, K=1, tau=tau, X=X, y=y)
+    with pytest.raises(InputError, match="tau must be strictly negative"):
+        build_mip(Dataset(X=X, y=y), M=1, K=1, tau="-1e-6")
+    assert build_mip(Dataset(X=X, y=y), M=1, K=1, tau=-1) == build_mip(
+        Dataset(X=X, y=y), M=1, K=1, tau=np.float64(-1.0))
     instance = build_mip(Dataset(X=X, y=y), M=np.int64(2), K=np.int64(3))
     assert (type(instance.M), type(instance.K)) == (int, int)
 

@@ -29,7 +29,10 @@ class CalfModel:
     def __post_init__(self):
         ps = []
         for entry in self.pieces:
-            f, area = entry
+            try:
+                f, area = entry
+            except (TypeError, ValueError):  # not a pair
+                f = area = None
             if not isinstance(f, LinearModel) or not isinstance(area, ConvexArea):
                 raise InputError("pieces must be (LinearModel, ConvexArea) pairs")
             if f.d != self.default.d:

@@ -50,27 +50,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--truth", default=None, help="also write the ground truth JSON here")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("fit", help="fit a piecewise model to CSV data")
-    p.add_argument("--data", required=True)
+    # fit and its alias naive-fit share the input, output and naive flags.
+    shared = _Parser(add_help=False)
+    shared.add_argument("--data", required=True)
+    shared.add_argument(
+        "--cap", type=int, default=NAIVE_CAP_DEFAULT, help="subset-enumeration size cap (naive)"
+    )
+    shared.add_argument("--target-column", default=None)
+    shared.add_argument("--out", default="model.json")
+    shared.add_argument("--report", default=None, help="also write the text report here")
+
+    defaults = FitConfig()
+    p = sub.add_parser("fit", parents=[shared], help="fit a piecewise model to CSV data")
     p.add_argument("--algo", choices=("cas", "cas2", "naive"), default="cas")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--epsilon", type=_epsilon_flag, default="auto")
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-samples", type=int, default=None)
-    p.add_argument("--separator", choices=("lp", "svm"), default="lp")
-    p.add_argument("--cap", type=int, default=NAIVE_CAP_DEFAULT, help="subset-enumeration size cap (naive)")
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--out", default="model.json")
-    p.add_argument("--report", default=None, help="also write the text report here")
+    p.add_argument("--m", type=int, default=defaults.m)
+    p.add_argument("--epsilon", type=_epsilon_flag, default=defaults.epsilon)
+    p.add_argument("--delta", type=float, default=defaults.delta)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--max-samples", type=int, default=defaults.max_samples)
+    p.add_argument("--separator", choices=("lp", "svm"), default=defaults.separator)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("naive-fit", help="alias of fit --algo naive")
-    p.add_argument("--data", required=True)
-    p.add_argument("--cap", type=int, default=NAIVE_CAP_DEFAULT)
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--out", default="model.json")
-    p.add_argument("--report", default=None)
+    p = sub.add_parser("naive-fit", parents=[shared], help="alias of fit --algo naive")
     p.set_defaults(func=cmd_fit, algo="naive", m=1)
 
     p = sub.add_parser("predict", help="append a prediction column to feature rows")
@@ -146,37 +147,30 @@ def _emit_report(text: str, path) -> None:
 
 
 def cmd_fit(args) -> int:
+    """Save and report the model of any solver; an exhausted budget leaves its fallback, exit 2."""
     data = load_csv(args.data, target_column=args.target_column)
+    status, code = "ok", 0
     if args.algo == "naive":
         if args.m != 1:
             raise InputError("this solver handles exactly one piece (m=1)")
         model = naive_calr(data, cap=args.cap)
-        save_model(model, args.out)
-        _emit_report(_fit_report(model, data, "ok"), args.report)
-        return 0
-    config = FitConfig(
-        m=args.m,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        seed=args.seed,
-        max_samples=args.max_samples,
-        separator=args.separator,
-    )
-    solver = cas2 if args.algo == "cas2" else cas_calr
-    try:
-        model = solver(data, config)
-    except BudgetExhaustedError as exc:
-        if args.out:
-            save_model(exc.fallback, args.out)
-        status = (
-            f"budget exhausted after {exc.samples_used} draws with "
-            f"{len(exc.partial_models)} accepted model(s); wrote the global fallback fit"
+    else:
+        config = FitConfig(
+            m=args.m, epsilon=args.epsilon, delta=args.delta, seed=args.seed,
+            max_samples=args.max_samples, separator=args.separator,
         )
-        _emit_report(_fit_report(exc.fallback, data, status), args.report)
-        return 2
+        solver = cas2 if args.algo == "cas2" else cas_calr
+        try:
+            model = solver(data, config)
+        except BudgetExhaustedError as exc:
+            model, code = exc.fallback, 2
+            status = (
+                f"budget exhausted after {exc.samples_used} draws with "
+                f"{len(exc.partial_models)} accepted model(s); wrote the global fallback fit"
+            )
     save_model(model, args.out)
-    _emit_report(_fit_report(model, data, "ok"), args.report)
-    return 0
+    _emit_report(_fit_report(model, data, status), args.report)
+    return code
 
 
 def cmd_predict(args) -> int:

@@ -165,6 +165,8 @@ class ConvexArea:
 
     def __post_init__(self):
         hs = tuple(self.halfspaces)
+        if not all(isinstance(h, HalfSpace) for h in hs):
+            raise InputError("halfspaces must be HalfSpace objects")
         dims = {h.d for h in hs}
         if len(dims) > 1:
             raise DimensionMismatchError("half-spaces disagree on dimension")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .exceptions import InputError, SchemaError, _int_at_least, _real
-from .model_io import _dump, _integer, _load
+from .model_io import _dump, _integer, _load, _number, _numbers
 
 MIP_SCHEMA_VERSION = 2
 _TAU_SCALE = 1e-6
@@ -39,7 +39,8 @@ class MipInstance:
     """One program: data matrix plus sizes (M pieces, K half-spaces each).
 
     The sizes must be integers (numpy integers become ints): n, d >= 0 and
-    M, K >= 1.  tau is a negative real number, -inf included.
+    M, K >= 1.  tau is a negative real number, -inf included.  X and y are
+    kept as read-only float copies; the caller's arrays stay writable.
     """
 
     n: int
@@ -58,8 +59,8 @@ class MipInstance:
         self.n, self.d, self.M, self.K = int(self.n), int(self.d), int(self.M), int(self.K)
         if not (_real(self.tau) and self.tau < 0):
             raise InputError("tau must be strictly negative")
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        X = np.array(self.X, dtype=float)
+        y = np.array(self.y, dtype=float)
         if X.shape != (self.n, self.d) or y.shape != (self.n,):
             raise InputError("data matrix does not match the declared sizes")
         X.setflags(write=False)
@@ -206,9 +207,9 @@ def _instance_from_doc(doc) -> MipInstance:
     if version != MIP_SCHEMA_VERSION:
         raise SchemaError(f"unsupported document version {version}")
     n, d, M, K = (_integer(doc[key], key) for key in ("n", "d", "M", "K"))
-    X = np.array(doc["data"]["X"], dtype=float).reshape(n, d)
-    y = np.array(doc["data"]["y"], dtype=float)
-    instance = MipInstance(n, d, M, K, float(doc["tau"]), X, y)
+    X = np.array(_numbers(doc["data"]["X"], "X"), dtype=float).reshape(n, d)
+    y = np.array(_numbers(doc["data"]["y"], "y"), dtype=float)
+    instance = MipInstance(n, d, M, K, _number(doc["tau"], "tau"), X, y)
     counts = doc["counts"]
     if (counts["constraints"], counts["local_continuous_variables"]) != (
         instance.constraint_count,

@@ -64,6 +64,23 @@ def _integer(value, name) -> int:
     return value
 
 
+def _number(value, name) -> float:
+    """value, which must be a JSON number: true and "0.5" are malformed, not 1.0 and 0.5."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name!r} must be a number, not {value!r}")
+    return float(value)
+
+
+def _numbers(values, name):
+    """values, once each number in it (lists may nest) passes _number; the caller checks shape."""
+    if isinstance(values, list):
+        for value in values:
+            _numbers(value, name)
+    else:
+        _number(values, name)
+    return values
+
+
 def model_to_doc(model: CalfModel) -> dict:
     return {
         "version": SCHEMA_VERSION,
@@ -87,16 +104,19 @@ def model_from_doc(doc, path="<doc>") -> CalfModel:
     version, d = _integer(doc["version"], "version"), _integer(doc["d"], "d")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{path}: schema version {version} != {SCHEMA_VERSION}")
-    default = LinearModel(coeffs=doc["default"]["coeffs"])
+    default = LinearModel(coeffs=_numbers(doc["default"]["coeffs"], "coeffs"))
     if default.d != d:
         raise DimensionMismatchError(
             f"{path}: default has {default.d} features, document says d={d}"
         )
     pieces = tuple(
         (
-            LinearModel(coeffs=entry["coeffs"]),
+            LinearModel(coeffs=_numbers(entry["coeffs"], "coeffs")),
             ConvexArea(
-                tuple(HalfSpace(alpha=h["alpha"], gamma=float(h["gamma"])) for h in entry["area"])
+                tuple(
+                    HalfSpace(_numbers(h["alpha"], "alpha"), _number(h["gamma"], "gamma"))
+                    for h in entry["area"]
+                )
             ),
         )
         for entry in doc["pieces"]
@@ -130,9 +150,9 @@ def load_truth(path) -> GroundTruth:
     def convert(doc):
         return GroundTruth(
             model=model_from_doc(doc, str(path)),
-            noise_sigma=float(doc["sigma"]),
-            separation_delta=float(doc["delta"]),
-            margin_epsilon=float(doc["epsilon"]),
+            noise_sigma=_number(doc["sigma"], "sigma"),
+            separation_delta=_number(doc["delta"], "delta"),
+            margin_epsilon=_number(doc["epsilon"], "epsilon"),
             assignments=[_integer(a, "assignments") for a in doc["assignments"]],
         )
 
@@ -143,6 +163,6 @@ def load_pldc_spec(path) -> PldcSpec:
     """Read a PLDC spec: {"plus_terms": [{"a": [...], "c": ...}, ...], "minus_terms": [...]}."""
 
     def terms(doc, key):
-        return tuple((t["a"], float(t["c"])) for t in doc[key])
+        return tuple((_numbers(t["a"], "a"), _number(t["c"], "c")) for t in doc[key])
 
     return _load(path, lambda doc: PldcSpec(terms(doc, "plus_terms"), terms(doc, "minus_terms")))

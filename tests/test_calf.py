@@ -151,6 +151,10 @@ def test_model_construction_errors():
     area1 = ConvexArea(halfspaces=(_hs([1.0], 0.0),))
     with pytest.raises(InputError):
         CalfModel(default=LinearModel(coeffs=np.zeros(2)), pieces=((f2, "nope"),))
+    f1 = LinearModel(coeffs=np.zeros(2))
+    for entry in (1, (f1, area1, 3), (f1,), None):  # not a pair
+        with pytest.raises(InputError, match=r"pieces must be \(LinearModel, ConvexArea\) pairs"):
+            CalfModel(default=f1, pieces=[entry])
     with pytest.raises(DimensionMismatchError):
         CalfModel(default=LinearModel(coeffs=np.zeros(2)), pieces=((f2, ConvexArea()),))
     with pytest.raises(DimensionMismatchError):

@@ -103,6 +103,56 @@ def test_fit_exhaustion_exits_2_and_writes_the_fallback(tmp_path):
     assert "status: budget exhausted" in (tmp_path / "r.txt").read_text()
 
 
+def test_every_solver_and_outcome_saves_the_model_and_writes_the_report(tmp_path):
+    small, two, one = tmp_path / "small.csv", tmp_path / "two.csv", tmp_path / "one.csv"
+    plateau_csv(small)
+    for path, m, seed, n in ((two, 2, 5, 100), (one, 1, 7, 300)):
+        r = run_cli("gen", "--n", n, "--d", 2, "--m", m, "--sigma", 0.02, "--seed", seed,
+                    "--out", path)
+        assert r.returncode == 0, r.stderr
+    exhausted = ("fit", "--data", two, "--m", 2, "--seed", 1, "--max-samples", 1)
+    ok = ("fit", "--data", two, "--m", 2, "--seed", 1)
+    runs = (
+        (("fit", "--data", small, "--algo", "naive"), 0),
+        (ok, 0),
+        (("fit", "--data", one, "--algo", "cas2", "--m", 1, "--seed", 1), 0),
+        (exhausted, 2),
+        (("naive-fit", "--data", small), 0),
+    )
+    for k, (argv, code) in enumerate(runs):
+        out, report = tmp_path / f"model{k}.json", tmp_path / f"report{k}.txt"
+        r = run_cli(*argv, "--out", out, "--report", report)
+        assert r.returncode == code, (argv, r.stderr)
+        assert report.read_text() == r.stdout
+        load_model(out)
+    # An output that cannot be written fails the same way on every outcome.
+    spent, done = (run_cli(*argv, "--out", "") for argv in (exhausted, ok))
+    assert spent.returncode == 1 and spent.stderr.startswith("error: ")
+    assert "wrote" not in spent.stdout
+    assert (spent.returncode, spent.stdout, spent.stderr) == (
+        done.returncode, done.stdout, done.stderr)
+
+
+def option_help(text):
+    """flag -> its entry in the options section of --help output."""
+    entries, flag = {}, None
+    for line in text.split("options:", 1)[1].splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0]
+            entries[flag] = line
+        elif flag:
+            entries[flag] += "\n" + line
+    return entries
+
+
+def test_fit_and_naive_fit_declare_their_shared_flags_once():
+    fit, naive = (option_help(run_cli(cmd, "--help").stdout) for cmd in ("fit", "naive-fit"))
+    shared = {"--data", "--cap", "--target-column", "--out", "--report"}
+    assert set(naive) == shared | {"-h,"}
+    assert all(fit[flag] == naive[flag] for flag in shared)
+    assert "size cap" in naive["--cap"] and "text report" in naive["--report"]
+
+
 def test_bad_inputs_exit_1(tmp_path):
     r = run_cli("fit", "--data", tmp_path / "missing.csv")
     assert r.returncode == 1 and "error:" in r.stderr

@@ -118,6 +118,9 @@ def test_convex_area_membership():
                 HalfSpace(alpha=np.array([1.0, 2.0]), gamma=0.0),
             )
         )
+    for halfspaces in ((1,), (HalfSpace(alpha=np.array([1.0]), gamma=0.0), None), ("ab",)):
+        with pytest.raises(InputError, match="halfspaces must be HalfSpace objects"):
+            ConvexArea(halfspaces)
 
 
 def test_point_in_hull_basic_cases():

@@ -205,6 +205,14 @@ def test_instance_validation():
     assert (type(instance.M), type(instance.K)) == (int, int)
 
 
+def test_instance_copies_the_callers_arrays():
+    X, y = np.zeros((3, 2)), np.zeros(3)
+    instance = MipInstance(3, 2, 1, 1, -1e-6, X, y)
+    X[0, 0], y[0] = 1.0, 2.0  # the caller's arrays stay writable
+    assert not np.any(instance.X) and not np.any(instance.y)
+    assert not (instance.X.flags.writeable or instance.y.flags.writeable)
+
+
 def test_default_tau_scales_with_the_data():
     assert default_tau(np.array([[9.0, -3.0]])) == -1e-6 * 10.0
     data = Dataset(X=np.array([[0.5], [1.5]]), y=np.zeros(2))

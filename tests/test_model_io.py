@@ -240,6 +240,37 @@ def test_a_damaged_document_loads_or_raises_an_input_error(
         pass
 
 
+def test_real_fields_reject_strings_and_booleans(tmp_path, valid_documents):
+    """A real-valued key holds a JSON number: "0.5", true and null are malformed."""
+    cases = (
+        ("model", ("default", "coeffs"), ["1", "2", "3"]),
+        ("model", ("default", "coeffs", 0), True),
+        ("model", ("pieces", 0, "coeffs", 1), False),
+        ("model", ("pieces", 0, "area", 0, "alpha", 0), True),
+        ("model", ("pieces", 0, "area", 0, "gamma"), "0.5"),
+        ("model", ("pieces", 0, "area", 0, "gamma"), True),
+        ("truth", ("sigma",), "0.05"),
+        ("truth", ("delta",), True),
+        ("truth", ("epsilon",), None),
+        ("pldc", ("plus_terms", 0, "a", 1), "0"),
+        ("pldc", ("minus_terms", 0, "c"), True),
+        ("program", ("tau",), "-1e-6"),
+        ("program", ("tau",), False),
+        ("program", ("data", "X", 0, 0), True),
+        ("program", ("data", "y"), ["1", 1.0]),
+    )
+    path = tmp_path / "doc.json"
+    for kind, where, value in cases:
+        load, doc = valid_documents[kind]
+        key = next(k for k in reversed(where) if isinstance(k, str))
+        path.write_text(json.dumps(_edited(doc, where, value)))
+        with pytest.raises(SchemaError, match=f"'{key}' must be a number"):
+            load(path)
+    load, doc = valid_documents["model"]
+    path.write_text(json.dumps(_edited(doc, ("default", "coeffs"), [1, 2, 3])))
+    assert load(path).default == LinearModel(coeffs=np.array([1.0, 2.0, 3.0]))
+
+
 def test_only_model_io_reads_json():
     """Every JSON document goes through model_io._load; no other module parses JSON."""
     readers = set()

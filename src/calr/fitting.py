@@ -46,8 +46,9 @@ from .exceptions import (
     SeparabilityError,
     _int_at_least,
     _real,
+    as_points,
 )
-from .geometry import _point_sets, _sq_dist, cac, cacs
+from .geometry import ConvexArea, _point_sets, _sq_dist, cac, cacs
 from .linreg import LinearModel, _f_pvalue, _lstsq, _ols, coefficient_distance, lr
 
 _EPS_MULTIPLIER = 4.0
@@ -270,33 +271,43 @@ class _Sampler:
 def post(H_partial, leftovers: Dataset, epsilon: float, exclude=None, separate=cac):
     """Assign points fitting two models to a new area for the pair's first model.
 
-    For each pair of models (earlier, later) the points fitting both are
-    carved out of the leftovers with one convex area and handed to the
-    earlier model; optional exclude points are kept out of every new area.
-    Raises SeparabilityError when some pair's point set cannot be
-    separated; every leftover point ends up in exactly one returned area.
+    H_partial holds (LinearModel, ConvexArea or None) pairs; any other
+    entry is an InputError.  For each pair of models (earlier, later) the
+    leftover points fitting both, less those an earlier pair took, are
+    carved out with one convex area and handed to the earlier model.  Each
+    area is built against every other leftover point and the optional
+    exclude points, (k, d) with the leftovers' d (else
+    DimensionMismatchError), so every leftover point ends up in exactly
+    one returned area and no exclude point in any.  Raises
+    SeparabilityError when some pair's point set cannot be separated.
     epsilon must be a finite positive real number.
     """
     if not (_real(epsilon) and 0 < epsilon < math.inf):
         raise InputError("epsilon must be finite and positive")
+    exclude = np.zeros((0, leftovers.d)) if exclude is None else as_points(exclude, leftovers.d)
+    models = []
+    for entry in H_partial:
+        try:
+            f, area = entry
+        except (TypeError, ValueError):  # not a pair
+            f = area = None
+        if not isinstance(f, LinearModel) or not (area is None or isinstance(area, ConvexArea)):
+            raise InputError("H_partial must hold (LinearModel, ConvexArea or None) pairs")
+        models.append(f)
     if leftovers.n == 0:
         return []
-    models = [f for f, _ in H_partial]
     X, y = leftovers.X, leftovers.y
     fits = _within(X, y, models, epsilon)
-    exclude = (
-        np.zeros((0, leftovers.d)) if exclude is None else np.asarray(exclude, dtype=float)
-    )
+    # One point set for every pair: the leftovers, then the exclude points.
+    pts = np.vstack([X, exclude])
     unassigned = np.ones(leftovers.n, dtype=bool)
     new_pairs = []
     for i, j in combinations(range(len(models)), 2):
         pair_mask = unassigned & fits[i] & fits[j]
         if not np.any(pair_mask):
             continue
-        others = np.flatnonzero(unassigned & ~pair_mask)
-        pts = np.vstack([X[pair_mask], X[others], exclude])
         inside = np.zeros(len(pts), dtype=bool)
-        inside[: int(pair_mask.sum())] = True
+        inside[: leftovers.n] = pair_mask
         area = separate(pts, inside)
         if area is None:
             raise SeparabilityError(
@@ -340,11 +351,10 @@ def _assemble(data, F, eps, separate):
     # The best-supported model is the default unless another model's own
     # point set is inseparable; its own set is separated only in that case.
     default_idx = int(np.argmax((fits & unique).sum(axis=1)))
-    uni_idx = np.flatnonzero(unique)
 
     def area_of(fi):
-        own = unique & fits[fi]
-        return separate(X[uni_idx], own[uni_idx]) if np.any(own) else None
+        own = fits[fi][unique]
+        return separate(X[unique], own) if np.any(own) else None
 
     areas = {fi: area_of(fi) for fi in range(len(F)) if fi != default_idx}
     inseparable = [fi for fi, area in areas.items() if area is None]
@@ -361,23 +371,10 @@ def _assemble(data, F, eps, separate):
     # Points fitting two or more models: those fitting the default stay in
     # the default region; those inside an existing piece area are already
     # predicted consistently; the rest get strip areas of their own.
-    leftovers = (counts >= 2) & ~fits[default_idx]
-    strip_idx = np.flatnonzero(leftovers)
-    if len(strip_idx) and pieces:
-        covered = np.zeros(len(strip_idx), dtype=bool)
-        for _, area in pieces:
-            covered |= area.contains_batch(X[strip_idx])
-        strip_idx = strip_idx[~covered]
-    if len(strip_idx):
-        keep_out = np.ones(n, dtype=bool)
-        keep_out[strip_idx] = False
-        pieces = pieces + post(
-            pieces,
-            data.subset(strip_idx),
-            eps,
-            exclude=X[keep_out],
-            separate=separate,
-        )
+    strip = (counts >= 2) & ~fits[default_idx]
+    strip[strip] = CalfModel(F[default_idx], tuple(pieces)).assign_batch(X[strip]) == 0
+    if np.any(strip):
+        pieces += post(pieces, data.subset(strip), eps, exclude=X[~strip], separate=separate)
     model = CalfModel(default=F[default_idx], pieces=tuple(pieces))
     # A point fitting no model is kept out of no area, so two areas can
     # both reach it.
@@ -443,15 +440,14 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
     if config.m == 0:
         return _global_model(data, samples_used=0, epsilon=None, algorithm="cas")
     X, y, d = data.X, data.y, data.d
+    A = np.column_stack([np.ones(data.n), X])
     target = config.m + 1
 
     def propose(sampler):
-        remaining = np.arange(data.n)
         accepted = []
         # The residual rows change only on an acceptance; draws share them.
-        X_rest, y_rest = X[remaining], y[remaining]
-        A_rest = np.column_stack([np.ones(len(remaining)), X_rest])
-        while len(accepted) < target and not sampler.exhausted and len(remaining) > d:
+        X_rest, y_rest, A_rest = X, y, A
+        while len(accepted) < target and not sampler.exhausted and len(y_rest) > d:
             drawn = sampler.draw(X_rest, y_rest, A_rest)
             if drawn is None:
                 continue
@@ -459,9 +455,7 @@ def cas_calr(data: Dataset, config: FitConfig) -> CalfModel:
             if any(coefficient_distance(f, g) < config.delta for g in accepted):
                 continue
             accepted.append(f)
-            remaining = remaining[~fits]
-            X_rest, y_rest = X[remaining], y[remaining]
-            A_rest = np.column_stack([np.ones(len(remaining)), X_rest])
+            X_rest, y_rest, A_rest = (R.compress(~fits, axis=0) for R in (X_rest, y_rest, A_rest))
         return accepted
 
     model, F = _sample(data, config, propose)
@@ -549,17 +543,20 @@ def _givens(x, z):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _subset_floors(A, y, sizes):
-    """Every k-subset of A's rows for k in sizes, with a lower bound on its _ols SSE.
+def _subset_floors(A, y, low):
+    """Every subset of A's n rows with low..n-low rows, and a lower bound on its _ols SSE.
 
-    A's first column is the intercept's ones.  Returns {k: (codes, floors)}:
-    one int64 code per k-subset, bit i set for row i, in combinations order,
-    and the floor of the system A[mask] b ~ y[mask].  One pass over the
-    subset lattice, level by level: the children of a subset add one row j
-    past its last row, in increasing j, so each level keeps combinations
-    order.  A child gathers its parent's code, R of [A | y] (p x p+1, y's
-    column Q^T y) and residual sum of squares, and takes row j in with its
-    bit and p Givens rotations, O(p^2) work instead of a QR over its k rows.
+    A's first column is the intercept's ones, and 1 <= low <= n - low.
+    Returns one flat (codes, floors) pair, by size and within a size in
+    combinations order: one int64 code per subset, bit i set for row i, and
+    the floor of the system A[mask] b ~ y[mask].  The sizes are symmetric,
+    so the complement of the i-th subset is the (len - 1 - i)-th.  One pass
+    over the subset lattice, level by level: the children of a subset add
+    one row j past its last row, in increasing j, so each level keeps
+    combinations order.  A child gathers its parent's code, R of [A | y]
+    (p x p+1, y's column Q^T y) and residual sum of squares, and takes row
+    j in with its bit and p Givens rotations, O(p^2) work instead of a QR
+    over its k rows.
     Every k-subset has the same R[0, 0], h_k = hypot(h_{k-1}, 1), so the
     intercept's rotation is two scalars per level; _givens finds the others.
     Rounding moves a least-squares residual by about eps * cond * ||y||, in
@@ -586,10 +583,10 @@ def _subset_floors(A, y, sizes):
     state = np.zeros((p * (p + 1) + 4, 1))
     state[-1] = np.inf
     h = 0.0
-    levels = {}
+    levels = []
     codes, last = np.zeros(1, dtype=np.int64), np.full(1, -1)
     step = np.arange(math.comb(n, n // 2))
-    for k in range(1, sizes[-1] + 1):
+    for k in range(1, n - low + 1):
         # A subset's children take the rows after its last, in order: the
         # children of a subset end at rows n - count .. n - 1.
         counts = n - 1 - last
@@ -615,7 +612,7 @@ def _subset_floors(A, y, sizes):
             a_i -= sR
         R[0, 0] = h
         acc[2] += a[-1] * a[-1]
-        if k not in sizes:
+        if k < low:
             continue
         cond = np.sqrt(acc[0] * acc[3])
         ill = ~(cond <= _QR_COND_LIMIT)
@@ -628,8 +625,8 @@ def _subset_floors(A, y, sizes):
         if ill.any():
             rows = np.nonzero(codes[ill, None] >> np.arange(n) & 1)[1].reshape(-1, k)
             floors[ill] = _svd_sse_floor(A[rows], y[rows])
-        levels[k] = codes, floors
-    return levels
+        levels.append((codes, floors))
+    return tuple(np.concatenate(side) for side in zip(*levels))
 
 
 def _stable_front(floors):
@@ -666,19 +663,19 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     lattice, each subset's QR factor its parent's plus one Givens row
     update, allowing for rounding in proportion to a bound on the
     system's condition, inherited from its parent where that suffices,
-    and ||y||.  Each partition is scored and fitted once: the complement of
-    the i-th k-subset in combinations order is the (C(n, k)-1-i)-th
-    (n-k)-subset, so the walk holds one entry per partition, its side of at
-    most n/2 rows, bounded by its floor plus the mirrored one of the other
-    size.  It takes entries in the stable order of their bounds, but
-    _stable_front sorts only as far as it reads; only an entry whose bound
-    reaches the walk's front has its code decoded to a mask and both sides
-    fitted by _ols, and both orientations go on the heap that settles their
-    order.  The loop refuses to run past the cap, an integer, unless it is
-    raised, or past 62 rows, one bit each of a subset's int64 code.  An
-    empty dataset is an InputError, and so is an X whose squared distances
-    would overflow or a y whose sums of squares would, each decided before
-    any is formed.  The model's fit_info is {"algorithm": "naive"}.
+    and ||y||.  Each partition is scored and fitted once: in that pass's
+    flat order the complement of the i-th subset is the (len-1-i)-th, so
+    the walk holds one entry per partition, its side of at most n/2 rows,
+    bounded by its floor plus its complement's.  It takes entries in the
+    stable order of their bounds, but _stable_front sorts only as far as
+    it reads; only an entry whose bound reaches the walk's front has its
+    code decoded to a mask and both sides fitted by _ols, and both
+    orientations go on the heap that settles their order.  The loop
+    refuses to run past the cap, an integer, unless it is raised, or past
+    62 rows, one bit each of a subset's int64 code.  An empty dataset is an
+    InputError, and so is an X whose squared distances would overflow or a
+    y whose sums of squares would, each decided before any is formed.  The
+    model's fit_info is {"algorithm": "naive"}.
     """
     n, d = data.n, data.d
     if not _int_at_least(cap, n):
@@ -709,16 +706,12 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
     # y.y decides, as in _f_pvalue.
     tie_tol = 1e-12 * max(float(np.sum((y - y.mean()) ** 2)), 1e-12 * float(y @ y))
     stop = global_sse - tie_tol
-    sizes = range(d + 1, n - d)
-    if not sizes:
+    if n < 2 * (d + 1):
         return _global_model(data, algorithm="naive")
-    levels = _subset_floors(np.column_stack([np.ones(n), X]), y, sizes)
-    # Candidate i is the (i - starts[j])-th subset of size sizes[j]; sizes
-    # are symmetric, so its complement is candidate last - i, and the walk
-    # reads the first half, one entry per partition.
-    floors = np.concatenate([levels[k][1] + levels[n - k][1][::-1] for k in sizes])
-    starts = np.cumsum([0] + [len(levels[k][1]) for k in sizes])
-    floors, last = floors[: len(floors) // 2], len(floors) - 1
+    codes, floors = _subset_floors(np.column_stack([np.ones(n), X]), y, d + 1)
+    # Candidate i's complement is candidate last - i, so the walk reads the
+    # first half, one entry per partition.
+    floors, last = (floors + floors[::-1])[: len(floors) // 2], len(floors) - 1
     order = chain.from_iterable(_stable_front(floors))
     nxt = next(order, None)
     fitted = []  # heap of (_ols SSE, candidate index, mask, f_in, f_out)
@@ -737,9 +730,8 @@ def naive_calr(data: Dataset, cap: int = NAIVE_CAP_DEFAULT) -> CalfModel:
         if floor >= stop:
             break
         i, nxt = int(nxt), next(order, None)
-        j = int(np.searchsorted(starts, i, side="right")) - 1
-        k = sizes[j]
-        mask = (levels[k][0][i - starts[j]] >> np.arange(n) & 1).astype(bool)
+        mask = (codes[i] >> np.arange(n) & 1).astype(bool)
+        k = int(mask.sum())
         f_in, f_out = _ols(X[mask], y[mask]), _ols(X[~mask], y[~mask])
         # IEEE addition commutes, so the mirrored candidate's SSE is this one.
         sse = f_in.mse * k + f_out.mse * (n - k)

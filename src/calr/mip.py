@@ -16,6 +16,7 @@ solving it is left to external tools.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,8 @@ class MipInstance:
 
     @property
     def constraint_count(self) -> int:
-        """Total constraints: n(M(2K+1)+1)."""
-        return self.n * (self.M * (2 * self.K + 1) + 1)
+        """Total constraints: one row per index of each family's shape."""
+        return sum(math.prod(c["shape"]) for c in self.constraints())
 
     def variable_blocks(self) -> list:
         return [

@@ -21,6 +21,7 @@ from calr import fitting, geometry
 from calr.exceptions import (
     BudgetExhaustedError,
     ConvergenceError,
+    DimensionMismatchError,
     FitDiagnostic,
     InputError,
     SeparabilityError,
@@ -34,7 +35,7 @@ from calr.fitting import (
     naive_calr,
     post,
 )
-from calr.geometry import cac
+from calr.geometry import ConvexArea, cac
 from calr.linreg import LinearModel, _ols, coefficient_distance, lr, mse
 from calr.model_io import model_to_doc
 
@@ -149,6 +150,26 @@ def test_post_rejects_contract_violations():
     split = Dataset(X=np.array([[0.0], [0.01]]), y=np.array([0.0, 0.005]))
     with pytest.raises(SeparabilityError):
         post(pair, split, 0.1, exclude=np.array([[0.005]]))  # sits between them
+    for exclude in (np.zeros((2, 3)), np.array([1.0, 2.0])):
+        with pytest.raises(DimensionMismatchError):
+            post(pair, split, 0.1, exclude=exclude)
+    for bad in ([a, b], [(a,)], [(a, None, 1)], [(None, None), (b, None)], [(a, 1), (b, None)]):
+        with pytest.raises(InputError, match="H_partial must hold"):
+            post(bad, split, 0.1)
+
+
+def test_post_gives_each_leftover_row_one_area():
+    # (f0, f1) fits x = 3 and (f0, f2) fits x = -1 and 1.  The second
+    # pair's area must be built against x = 3 too, which the first took.
+    f0 = LinearModel(coeffs=np.array([0.0, 0.0]))
+    f1 = LinearModel(coeffs=np.array([-3.0, 1.0]))
+    f2 = LinearModel(coeffs=np.array([0.0, 0.1]))
+    X = np.array([[3.0], [-1.0], [1.0]])
+    leftovers = Dataset(X=X, y=np.array([0.0, 0.05, -0.05]))
+    carved = post([(f0, None), (f1, None), (f2, None)], leftovers, 0.2)
+    assert [owner for owner, _ in carved] == [f0, f0]
+    held = np.array([area.contains_batch(X) for _, area in carved])
+    assert held.tolist() == [[True, False, False], [False, True, True]]
 
 
 def test_naive_solver_recovers_a_plateau():
@@ -334,11 +355,11 @@ def test_complement_of_a_combination_is_the_mirrored_combination():
 def test_subset_pass_enumerates_in_combinations_order():
     # Tie order and the mirrored complement read both rely on this order.
     rng = np.random.default_rng(3)
-    for n in range(1, 11):
+    for n in range(2, 11):
         X = rng.uniform(-1.0, 1.0, size=(n, 1))
         A = np.column_stack([np.ones(n), X])
-        levels = fitting._subset_floors(A, rng.uniform(size=n), range(1, n + 1))
-        assert sorted(levels) == list(range(1, n + 1))
+        levels = _levels(*fitting._subset_floors(A, rng.uniform(size=n), 1), n, 1)
+        assert sorted(levels) == list(range(1, n))
         for k, (codes, floors) in levels.items():
             rows = _code_rows(codes, n)
             assert rows.tolist() == [list(c) for c in combinations(range(n), k)]
@@ -350,11 +371,20 @@ def _code_rows(codes, n):
     return np.array([[i for i in range(n) if code >> i & 1] for code in codes.tolist()])
 
 
+def _levels(codes, floors, n, low):
+    """_subset_floors's flat return split by size: {k: (codes, floors)} for k = low..n-low."""
+    ends = np.cumsum([comb(n, k) for k in range(low, n - low + 1)])
+    assert len(codes) == len(floors) == ends[-1]
+    pairs = zip(np.split(codes, ends[:-1]), np.split(floors, ends[:-1]))
+    return {low + j: pair for j, pair in enumerate(pairs)}
+
+
 def _every_subset(A, y, low):
-    """(rows, floor) for every subset of A's rows with at least low rows."""
-    levels = fitting._subset_floors(A, y, range(low, len(A) + 1))
-    for codes, floors in levels.values():
-        yield _code_rows(codes, len(A)), floors
+    """(rows, floor) for every subset of A's rows with low..n-1 rows."""
+    levels = _levels(*fitting._subset_floors(A, y, 1), len(A), 1)
+    for k, (codes, floors) in levels.items():
+        if k >= low:
+            yield _code_rows(codes, len(A)), floors
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -434,9 +464,9 @@ def test_naive_solver_does_not_depend_on_its_floors(draw):
     want = json.dumps(model_to_doc(naive_calr(data)), sort_keys=True)
     real_floors = fitting._subset_floors
 
-    def zero_floors(A, y, sizes):
-        levels = real_floors(A, y, sizes)
-        return {k: (masks, np.zeros_like(floors)) for k, (masks, floors) in levels.items()}
+    def zero_floors(A, y, low):
+        codes, floors = real_floors(A, y, low)
+        return codes, np.zeros_like(floors)
 
     with mock.patch.object(fitting, "_subset_floors", zero_floors):
         got = json.dumps(model_to_doc(naive_calr(data)), sort_keys=True)
@@ -533,10 +563,11 @@ def test_naive_solver_fits_candidates_only_in_the_tie_window(monkeypatch):
         ols_rows.append(len(X))
         return real_ols(X, y)
 
-    def floors_spy(A, y, sizes):
-        levels = real_floors(A, y, sizes)
+    def floors_spy(A, y, low):
+        codes, floors = real_floors(A, y, low)
+        levels = _levels(codes, floors, len(A), low)
         passes.append({k: (codes.shape, floors.shape) for k, (codes, floors) in levels.items()})
-        return levels
+        return codes, floors
 
     def svd_spy(A, *args, **kwargs):
         svd_calls.append(A.shape)
@@ -952,6 +983,31 @@ def test_assembly_separates_only_the_pieces_when_all_are_separable(monkeypatch):
     assert model.m == 2
     assert sizes == [3]
     assert len(calls) == sizes[0] - 1
+
+
+@pytest.mark.parametrize(
+    "area, message",
+    [
+        (ConvexArea(), "two piece areas hold the same training point"),
+        (None, "two or more fitted models have non-separable point sets"),
+    ],
+)
+def test_assembly_refuses_overlapping_areas_and_two_inseparable_models(area, message):
+    # Areas that hold every row overlap; two models without an area leave
+    # no single default to fall back on.
+    data, truth = generate_separable(600, 2, 2, 0.01, 1.0, seed=1)
+    with pytest.raises(SeparabilityError, match=message):
+        fitting._assemble(data, list(truth.functions), 0.05, lambda points, inside: area)
+
+
+def test_sampling_solver_accepts_no_model_within_delta_of_another():
+    # Every draw here lands within coefficient distance 50 of the first
+    # acceptance, so no second one is made; the default delta fits.
+    data, _ = generate_separable(300, 2, 1, 0.01, 1.0, seed=0)
+    assert cas_calr(data, FitConfig(m=1, seed=77, max_samples=300)).m == 1
+    with pytest.raises(BudgetExhaustedError) as exc:
+        cas_calr(data, FitConfig(m=1, seed=77, delta=50.0, max_samples=300))
+    assert len(exc.value.partial_models) == 1
 
 
 @pytest.mark.parametrize("case", ["constant feature", "collinear features", "constant y"])

@@ -174,6 +174,8 @@ def test_separation_rejects_empty_or_non_finite_input():
         for bad in ([np.nan, 1.0], [np.inf, 3.0]):
             with pytest.raises(InputError):
                 separate(np.vstack([D, bad]), np.array([True, True, True, False]))
+        with pytest.raises(InputError, match="the inside set must be nonempty"):
+            separate(np.array([[0.0], [1.0]]), np.array([False, False]))
     for pos, neg in (
         (np.vstack([D, [np.nan, 1.0]]), D + 5.0),
         (D, np.vstack([D + 5.0, [5.0, -np.inf]])),

@@ -106,6 +106,12 @@ def test_mse_values_and_oracle():
     assert abs(mse(model, data) - total / data.n) <= 1e-12 * max(1.0, total / data.n)
 
 
+def test_mse_on_no_rows_is_an_input_error():
+    model = LinearModel(coeffs=np.zeros(3))
+    with pytest.raises(InputError, match="need at least one row to score"):
+        mse(model, Dataset(np.zeros((0, 2)), np.zeros(0)))
+
+
 def test_mse_whose_residual_sum_of_squares_overflows_is_an_input_error():
     # Predictions at |x| ~ 1e200 stay finite, but their squared residuals
     # overflow; numpy's warning is an error under this suite's settings.
